@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import classical_bound, measurement_classicality as mc, nc_bound, povm_simulation, quantum_opt
-from .quantum_opt import AlphaTriple, QUANTUM_OPTIMUM, derive_seed
+from .quantum_opt import AlphaTriple, QUANTUM_OPTIMUM
 
 CLASSICAL_REF = classical_bound.CLASSICAL_OPTIMUM
 
@@ -70,12 +70,8 @@ def cmd_curve(args) -> int:
     grid = args.grid if args.alpha0 is None else [args.alpha0]
     header = "alpha0,p_q,p_nc" + (",p_c" if args.include_classical else "")
     lines = [header]
-    for idx, alpha0 in enumerate(grid):
-        alpha = AlphaTriple.symmetric(alpha0)
-        p_q = quantum_opt.optimize_quantum(
-            alpha, restarts=args.restarts, seed=derive_seed(args.seed, idx)
-        ).value
-        p_nc = nc_bound.nc_value(alpha)
+    quantum = quantum_opt.quantum_curve(grid, restarts=args.restarts, seed=args.seed)
+    for (alpha0, p_q), (_, p_nc) in zip(quantum, nc_bound.nc_curve(grid)):
         row = f"{alpha0:.6f},{p_q:.6f},{p_nc:.6f}"
         if args.include_classical:
             row += f",{CLASSICAL_REF:.6f}"
@@ -194,9 +190,8 @@ def cmd_coherence(args) -> int:
     for idx in range(args.samples):
         povm = random_collinear_povm(rng) if idx % 2 else random_povm(rng, 3)
         a = mc.all_effects_collinear(povm)
-        b = mc.all_commutators_vanish(povm)
-        c = mc.common_diagonal_axis(povm) is not None
-        agree += a == b == c
+        b = mc.common_diagonal_axis(povm) is not None
+        agree += a == b
     records = [
         _record("trine_free_any_basis", float(trine_report.free_in_some_basis), 0.0, 0.0,
                 not trine_report.free_in_some_basis),
@@ -215,29 +210,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid: bool = False):
+    def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--restarts", type=int, default=50)
-        p.add_argument("--tol", type=float, default=None)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None, help="implied by the command")
-        if grid:
-            p.add_argument("--grid", type=_parse_grid, default="0:1:0.01",
-                           help="alpha0 grid start:stop:step")
-            p.add_argument("--alpha0", type=float, default=None, help="single point instead of a grid")
 
     p_curve = sub.add_parser("curve", help="CSV of (alpha0, p_q, p_nc) along alpha1 = alpha2")
-    common(p_curve, grid=True)
+    common(p_curve)
+    p_curve.add_argument("--restarts", type=int, default=50)
+    p_curve.add_argument("--grid", type=_parse_grid, default="0:1:0.01", help="alpha0 grid start:stop:step")
+    p_curve.add_argument("--alpha0", type=float, default=None, help="single point instead of a grid")
     p_curve.add_argument("--include-classical", action="store_true", help="append the constant p_c column")
     p_curve.set_defaults(func=cmd_curve)
 
     p_bounds = sub.add_parser("bounds", help="p_q, p_nc, p_c at one alpha0")
     common(p_bounds)
+    p_bounds.add_argument("--restarts", type=int, default=50)
+    p_bounds.add_argument("--tol", type=float, default=None)
     p_bounds.add_argument("--alpha0", type=float, default=2.0 / 3.0)
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_sim = sub.add_parser("simulate", help="n-outcome equatorial POVM simulation report")
     common(p_sim)
+    p_sim.add_argument("--tol", type=float, default=None)
     p_sim.add_argument("n", type=int, nargs="?", default=5)
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -8,7 +8,10 @@ Four independent certificates live here:
   six-state ensemble succeeds strictly better when the partition label
   arrives before the measurement than after it, and the post-measurement
   optimum has an exact dual certificate (a minimum enclosing ball in Bloch
-  coordinates), so a positive gap is rigorous;
+  coordinates), so a positive gap is rigorous; the explicit strategies
+  behind the lower bound alternate guessing assignments with the exact
+  measurement update ``qubit_core.zero_sum_alignment``, the solver the
+  quantum optimizer uses;
 * direct joint-measurability feasibility for coplanar POVM pairs, with the
   positivity cone replaced by inscribed (feasible => compatible) and
   circumscribed (infeasible => incompatible) polygon cones, both plain LPs;
@@ -35,6 +38,7 @@ from .qubit_core import (
     projector_effect,
     validate_povm,
     xz_direction,
+    zero_sum_alignment,
 )
 
 TWO_FIFTHS_PI = 2.0 * np.pi / 5.0
@@ -209,80 +213,6 @@ class GuessingReport:
         return float(worst)
 
 
-def _zero_sum_alignment(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """max sum_z y_z.c_z over sum_z y_z = 0, |y_z| <= r_z; returns y.
-
-    Dual: the multiplier is the r-weighted geometric median of the points
-    (Weiszfeld plus anchored-point test); primal recovery takes unit
-    vectors toward c_z - lambda scaled by r_z.
-    """
-    c = np.asarray(points, dtype=float)
-    r = np.asarray(radii, dtype=float)
-    k = len(c)
-    active = r > 1e-12
-    y = np.zeros_like(c)
-    idx = np.flatnonzero(active)
-    if idx.size < 2:
-        return y
-    ca, ra = c[idx], r[idx]
-    if idx.size == 2:
-        d = ca[0] - ca[1]
-        nd = np.linalg.norm(d)
-        if nd > 1e-14:
-            t = min(ra[0], ra[1])
-            y[idx[0]] = t * d / nd
-            y[idx[1]] = -t * d / nd
-        return y
-    lam = None
-    anchor = -1
-    for pos in range(idx.size):
-        diffs = ca - ca[pos]
-        norms = np.linalg.norm(diffs, axis=1)
-        mask = norms > 1e-14
-        pull = ((ra[mask] / norms[mask])[:, None] * diffs[mask]).sum(axis=0)
-        slack = ra[pos] + ra[~mask].sum() - ra[pos]  # coincident points share the anchor
-        if np.linalg.norm(pull) <= ra[pos] + slack + 1e-14:
-            lam = ca[pos]
-            anchor = pos
-            break
-    if lam is None:
-        lam = (ra[:, None] * ca).sum(axis=0) / ra.sum()
-        for _ in range(400):
-            d = np.maximum(np.linalg.norm(ca - lam, axis=1), 1e-15)
-            wgt = ra / d
-            lam_new = (wgt[:, None] * ca).sum(axis=0) / wgt.sum()
-            if np.linalg.norm(lam_new - lam) < 1e-15:
-                lam = lam_new
-                break
-            lam = lam_new
-    diffs = ca - lam
-    norms = np.linalg.norm(diffs, axis=1)
-    away = norms > 1e-12
-    units = np.zeros_like(ca)
-    units[away] = diffs[away] / norms[away, None]
-    if anchor >= 0 or (~away).any():
-        pull = (ra[away, None] * units[away]).sum(axis=0)
-        hold = np.flatnonzero(~away)
-        if hold.size:
-            share = ra[hold].sum()
-            if share > 1e-15:
-                for h in hold:
-                    units[h] = -pull * (1.0 / share)
-    y[idx] = ra[:, None] * units
-    # polish: exact zero-sum projection, then re-clip to the radii
-    for _ in range(40):
-        y -= y.sum(axis=0) / max(np.count_nonzero(r > 1e-12), 1)
-        y[~active] = 0.0
-        norms = np.linalg.norm(y, axis=1)
-        over = norms > r
-        if over.any():
-            scale = np.where(over, r / np.maximum(norms, 1e-15), 1.0)
-            y *= scale[:, None]
-        if np.linalg.norm(y.sum(axis=0)) < 1e-13 and not over.any():
-            break
-    return y
-
-
 def _strategy_value(ensemble: PartitionedEnsemble, povm: Povm, assignment) -> float:
     total = 0.0
     for z, eff in enumerate(povm.effects):
@@ -292,31 +222,27 @@ def _strategy_value(ensemble: PartitionedEnsemble, povm: Povm, assignment) -> fl
     return total / 6.0
 
 
-def _best_assignment(ensemble: PartitionedEnsemble, weights, vecs) -> list[tuple[int, int]]:
+def _best_assignment(ensemble: PartitionedEnsemble, weights, y) -> list[tuple[int, int]]:
     assignment = []
     for z in range(len(weights)):
-        eff = Effect(weights[z] / 2.0, (weights[z] / 2.0) * vecs[z], tol=1e-6)
+        eff = Effect(weights[z] / 2.0, y[z] / 2.0)
         pi = [born_probability(s, eff) for s in ensemble.part0]
         pj = [born_probability(s, eff) for s in ensemble.part1]
         assignment.append((int(np.argmax(pi)), int(np.argmax(pj))))
     return assignment
 
 
-def _ascend_strategy(ensemble: PartitionedEnsemble, weights: np.ndarray, vecs: np.ndarray):
+def _ascend_strategy(ensemble: PartitionedEnsemble, weights: np.ndarray, y: np.ndarray):
     """Alternate argmax guessing assignments with the exact measurement update."""
     pair_ops = ensemble.pair_operators()
     pair_vecs = np.array([op.vec for op in pair_ops]).reshape(3, 3, 3)
-    assignment = _best_assignment(ensemble, weights, vecs)
+    assignment = _best_assignment(ensemble, weights, y)
     value = -np.inf
     for _ in range(60):
         targets = np.stack([pair_vecs[i, j] for (i, j) in assignment])
-        y = _zero_sum_alignment(targets, weights)
-        vecs = np.where(weights[:, None] > 1e-12, y / np.maximum(weights[:, None], 1e-12), 0.0)
-        assignment = _best_assignment(ensemble, weights, vecs)
-        povm = Povm(
-            tuple(Effect(weights[z] / 2.0, y[z] / 2.0) for z in range(len(weights))),
-            tol=1e-7,
-        )
+        y = zero_sum_alignment(targets[None], weights)[0][0]
+        assignment = _best_assignment(ensemble, weights, y)
+        povm = Povm(tuple(Effect(weights[z] / 2.0, y[z] / 2.0) for z in range(len(weights))))
         new_value = _strategy_value(ensemble, povm, assignment)
         if new_value <= value + 1e-13:
             return new_value, povm, tuple(assignment)
@@ -368,9 +294,8 @@ def post_guess_bounds(
 
     best = (-np.inf, None, None)
     for weights, vecs in starts:
-        y = _zero_sum_alignment(vecs * weights[:, None], weights)
-        v0 = np.where(weights[:, None] > 1e-12, y / np.maximum(weights[:, None], 1e-12), 0.0)
-        value, povm, assignment = _ascend_strategy(ensemble, weights, v0)
+        y = zero_sum_alignment((vecs * weights[:, None])[None], weights)[0][0]
+        value, povm, assignment = _ascend_strategy(ensemble, weights, y)
         if value > best[0]:
             best = (value, povm, assignment)
     return best[0], upper, certificate, best[1], best[2]
@@ -583,11 +508,6 @@ def all_effects_collinear(povm: Povm, tol: float = 1e-9) -> bool:
     return all(
         float(np.linalg.norm(np.cross(u, v))) <= tol for u, v in combinations(vecs, 2)
     )
-
-
-def all_commutators_vanish(povm: Povm, tol: float = 1e-9) -> bool:
-    """[E, F] = 2i (v_E x v_F).sigma; the norm used is |v_E x v_F|."""
-    return all_effects_collinear(povm, tol)
 
 
 def common_diagonal_axis(povm: Povm, tol: float = 1e-9) -> np.ndarray | None:

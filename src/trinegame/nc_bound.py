@@ -15,6 +15,10 @@ maximal value (the other is then pinned by response completeness).  The
 default pattern maximizes outcome i in region i; ``nc_value_all_assignments``
 re-solves under every per-region choice and is expected to return equal
 values, which the tests assert.
+
+For a fixed pattern the objective is affine in alpha over a polytope that
+does not depend on alpha, so P_NC is convex in alpha and
+``nc_global_max`` needs only the three vertices of the weight triangle.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ _SUPPORTS = ((0, 2), (1, 0), (2, 1))
 _REGION_BLOCK = ("A", "B", "C")
 
 DEFAULT_ASSIGNMENT = (0, 1, 2)  # region i maximizes outcome i
+TRIANGLE_VERTICES = ((1.0, 1.0, 0.0), (1.0, 0.0, 1.0), (0.0, 1.0, 1.0))
 
 
 class NcLpError(RuntimeError):
@@ -172,39 +177,12 @@ def nc_curve(grid) -> list[tuple[float, float]]:
     return [(float(a0), nc_value(AlphaTriple.symmetric(float(a0)))) for a0 in grid]
 
 
-def _slice_values(a0_vals, a1_vals) -> tuple[float, tuple[float, float, float]]:
-    best = -np.inf
-    best_alpha = None
-    fam = _family()
-    for a0 in a0_vals:
-        for a1 in a1_vals:
-            a2 = 2.0 - a0 - a1
-            if a2 < -1e-12 or a2 > 1.0 + 1e-12:
-                continue
-            alpha = (float(a0), float(a1), float(min(max(a2, 0.0), 1.0)))
-            val = fam.maximize(objective_vector(alpha)).value
-            if val > best + 1e-15:
-                best = val
-                best_alpha = alpha
-    return best, best_alpha
+def nc_global_max() -> tuple[float, tuple]:
+    """Maximum of P_NC over the weight triangle {alpha in [0,1]^3, sum = 2}.
 
-
-def nc_global_max(step: float = 0.01, refine_steps=(1e-3, 1e-4)) -> tuple[float, tuple]:
-    """Grid maximum of the LP value over {alpha in [0,1]^3, sum = 2}.
-
-    Coarse sweep at ``step`` followed by local grid refinements around the
-    best cell; the LP value is convex in alpha, so the sweep certifies the
-    global maximum up to grid resolution.
+    The LP's feasible polytope does not depend on alpha and its objective
+    is affine in alpha, so P_NC(alpha) is a maximum of affine functions of
+    alpha and therefore convex.  A convex function on a triangle attains
+    its maximum at a vertex, so three LP solves give the exact maximum.
     """
-    vals = np.round(np.arange(0.0, 1.0 + step / 2, step), 12)
-    best, best_alpha = _slice_values(vals, vals)
-    width = step
-    for fine in refine_steps:
-        a0c, a1c = best_alpha[0], best_alpha[1]
-        a0_vals = np.clip(np.arange(a0c - width, a0c + width + fine / 2, fine), 0.0, 1.0)
-        a1_vals = np.clip(np.arange(a1c - width, a1c + width + fine / 2, fine), 0.0, 1.0)
-        cand, cand_alpha = _slice_values(a0_vals, a1_vals)
-        if cand > best:
-            best, best_alpha = cand, cand_alpha
-        width = fine
-    return best, best_alpha
+    return max(((nc_value(alpha), alpha) for alpha in TRIANGLE_VERTICES), key=lambda pair: pair[0])

@@ -9,12 +9,12 @@ weights 2/3.  That reaches (1/3)(1 + sqrt(3)/2).
 For arbitrary outcome weights the optimizer alternates two convex
 subproblems over random restarts:
 
-* measurement step: maximize sum_b alpha_b v_b.c_b over |v_b| <= 1 with
-  sum_b alpha_b v_b = 0.  The Lagrange multiplier of the completeness
-  constraint is the weighted geometric median of the c_b (Weiszfeld
-  iteration plus the anchored-point test); unit vectors toward c_b - lambda
-  solve the subproblem, and a short projection/clipping polish removes
-  floating-point residue.
+* measurement step: the effect of outcome b is (alpha_b I + y_b.sigma)/2,
+  and completeness with positivity reads sum_b y_b = 0, |y_b| <= alpha_b.
+  Maximizing sum_b y_b.c_b over that set is
+  ``qubit_core.zero_sum_alignment`` with radii alpha, warm-started from
+  the previous round's multiplier; its output is feasible up to rounding,
+  so the effects pass the 1e-9 POVM tolerance as they stand.
 * preparation step: projected gradient ascent on the three free a=0 Bloch
   vectors; the derived a=1 states stay positive because iterates are kept
   inside the feasible set (Dykstra projection onto the two rotated
@@ -32,12 +32,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import game
-from .qubit_core import DensityState, Effect, Povm, povm_from_weighted_projectors, xz_direction
-
-_SHIFT1 = (1, 2, 0)
-_SHIFT2 = (2, 0, 1)
+from .game import _SHIFT1, _SHIFT2
+from .qubit_core import (
+    DensityState,
+    Effect,
+    Povm,
+    povm_from_weighted_projectors,
+    xz_direction,
+    zero_sum_alignment,
+)
 
 QUANTUM_OPTIMUM = (1.0 + np.sqrt(3.0) / 2.0) / 3.0
+MAX_ROUNDS = 1500
 
 
 def splitmix64(value: int) -> int:
@@ -112,78 +118,8 @@ def _pair_sums(u: np.ndarray) -> np.ndarray:
     return u - u[..., _SHIFT1, :] + (2.0 / 3.0) * u.sum(axis=-2, keepdims=True)
 
 
-def _clip_balls(v: np.ndarray) -> np.ndarray:
-    return v / np.maximum(1.0, np.linalg.norm(v, axis=-1, keepdims=True))
-
-
-def _measurement_step(
-    c: np.ndarray, alpha: np.ndarray, lam: np.ndarray, iters: int = 25
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact solution of the measurement subproblem for stacked c (R, 3, 3).
-
-    Returns (v, lam) where v are the optimal unit-ball Bloch vectors and lam
-    the converged multipliers (kept as warm starts across rounds).
-    """
-    r = c.shape[0]
-    active = alpha > 1e-12
-    v = np.zeros_like(c)
-    if active.sum() == 2:
-        b1, b2 = np.flatnonzero(active)
-        d = c[:, b1, :] - c[:, b2, :]
-        norm = np.linalg.norm(d, axis=1, keepdims=True)
-        unit = np.where(norm > 1e-14, d / np.maximum(norm, 1e-14), 0.0)
-        s1 = min(1.0, alpha[b2] / alpha[b1])
-        v[:, b1, :] = s1 * unit
-        v[:, b2, :] = -(alpha[b1] * s1 / alpha[b2]) * unit
-        return v, lam
-
-    # anchored-multiplier test: lambda may sit exactly on one of the c_b
-    anchored = np.full(r, -1, dtype=int)
-    anchor_v = np.zeros_like(c)
-    for b in range(3):
-        diffs = c - c[:, b : b + 1, :]
-        norms = np.linalg.norm(diffs, axis=2, keepdims=True)
-        units = np.where(norms > 1e-14, diffs / np.maximum(norms, 1e-14), 0.0)
-        pull = (alpha[None, :, None] * units).sum(axis=1) - alpha[b] * units[:, b, :]
-        ok = (np.linalg.norm(pull, axis=1) <= alpha[b] + 1e-14) & (anchored < 0)
-        if ok.any():
-            anchored[ok] = b
-            cand = units[ok]
-            cand[:, b, :] = -pull[ok] / alpha[b]
-            anchor_v[ok] = cand
-
-    # Weiszfeld iteration for the weighted geometric median (free restarts)
-    free = anchored < 0
-    if free.any():
-        lam_f = lam[free]
-        c_f = c[free]
-        for _ in range(iters):
-            d = np.maximum(np.linalg.norm(c_f - lam_f[:, None, :], axis=2), 1e-14)
-            wgt = alpha[None, :] / d
-            lam_new = (wgt[:, :, None] * c_f).sum(axis=1) / wgt.sum(axis=1)[:, None]
-            if np.max(np.abs(lam_new - lam_f)) < 1e-14:
-                lam_f = lam_new
-                break
-            lam_f = lam_new
-        lam = lam.copy()
-        lam[free] = lam_f
-        diff = c_f - lam_f[:, None, :]
-        nrm = np.maximum(np.linalg.norm(diff, axis=2, keepdims=True), 1e-14)
-        v[free] = diff / nrm
-    v[~free] = anchor_v[~free]
-
-    # remove floating-point residue: project onto the completeness plane, clip
-    asq = float((alpha**2).sum())
-    for _ in range(3):
-        mu = (alpha[None, :, None] * v).sum(axis=1) / asq
-        v = v - alpha[None, :, None] * mu[:, None, :]
-        v = _clip_balls(v)
-    return v, lam
-
-
-def _objective(u: np.ndarray, v: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    c = _pair_sums(u)
-    return 1.0 / 3.0 + (alpha[None, :, None] * v * c).sum(axis=(1, 2)) / 12.0
+def _objective(u: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return 1.0 / 3.0 + (y * _pair_sums(u)).sum(axis=(1, 2)) / 12.0
 
 
 def optimize_quantum(
@@ -191,9 +127,9 @@ def optimize_quantum(
     restarts: int = 50,
     seed: int = 0,
     tol: float = 1e-10,
-    max_rounds: int = 10_000,
 ) -> OptimizationResult:
-    """Best strategy found by alternating maximization over random restarts."""
+    """Best strategy found by alternating maximization over random restarts;
+    at most ``MAX_ROUNDS`` preparation steps run."""
     alpha_t = _as_alpha(alpha)
     al = alpha_t.as_array()
     if restarts < 1:
@@ -205,23 +141,20 @@ def optimize_quantum(
         starts[r_idx] = rng.uniform(-1.0, 1.0, size=(3, 3))
     u = game.shrink_to_feasible(game.project_free_blochs(starts, iters=50))
 
-    lam = np.zeros((restarts, 3))
-    v, lam = _measurement_step(_pair_sums(u), al, lam)
-    values = _objective(u, v, al)
+    y, lam = zero_sum_alignment(_pair_sums(u), al, np.zeros((restarts, 3)), iters=25)
+    values = _objective(u, y)
     gains = np.full(restarts, np.inf)
-    rounds = min(max_rounds, 1500)
     check_every = 16
     best_stagnant = 0
-    for it in range(rounds):
-        g = al[None, :, None] * v
-        h = g - g[:, _SHIFT2, :] + (2.0 / 3.0) * g.sum(axis=1, keepdims=True)
+    for it in range(MAX_ROUNDS):
+        h = y - y[:, _SHIFT2, :] + (2.0 / 3.0) * y.sum(axis=1, keepdims=True)
         hn = np.linalg.norm(h.reshape(restarts, -1), axis=1)
         eta = max(0.5 * 0.985**it, 1e-5)
         step = np.where(hn > 1e-14, eta / np.maximum(hn, 1e-14), 0.0)
         u = game.project_free_blochs(u + step[:, None, None] * h, iters=10)
-        v, lam = _measurement_step(_pair_sums(u), al, lam, iters=12)
+        y, lam = zero_sum_alignment(_pair_sums(u), al, lam, iters=12)
         if (it + 1) % check_every == 0:
-            new_values = _objective(u, v, al)
+            new_values = _objective(u, y)
             gains = new_values - values
             best_gain = new_values.max() - values.max()
             values = new_values
@@ -233,17 +166,13 @@ def optimize_quantum(
 
     # exact feasibility, then exact evaluation of every restart
     u = game.shrink_to_feasible(game.project_free_blochs(u, iters=60))
-    v, lam = _measurement_step(_pair_sums(u), al, lam, iters=150)
-    finals = _objective(u, v, al)
+    y, lam = zero_sum_alignment(_pair_sums(u), al, lam, iters=150)
+    finals = _objective(u, y)
     best = int(np.flatnonzero(finals >= finals.max() - 1e-12)[0])
 
     first = tuple(DensityState(u[best, x]) for x in range(3))
     preps = game.complete_preparations(first)
-    effects_v = v[best]
-    povm = Povm(
-        tuple(Effect(al[b] / 2.0, (al[b] / 2.0) * effects_v[b]) for b in range(3)),
-        alphas=tuple(al),
-    )
+    povm = Povm(tuple(Effect(al[b] / 2.0, y[best, b] / 2.0) for b in range(3)), alphas=tuple(al))
     strategy = game.GameStrategy(preps, povm)
     value = game.success_probability(strategy)
     return OptimizationResult(
@@ -264,8 +193,8 @@ def trine_preparation_value(alpha) -> float:
     al = _as_alpha(alpha).as_array()
     a_dirs = np.stack([xz_direction(2.0 * np.pi * x / 3.0) for x in range(3)])
     c = _pair_sums(a_dirs[None, :, :])
-    v, _ = _measurement_step(c, al, np.zeros((1, 3)), iters=400)
-    return float(_objective(a_dirs[None, :, :], v, al)[0])
+    y, _ = zero_sum_alignment(c, al, np.zeros((1, 3)))
+    return float(_objective(a_dirs[None, :, :], y)[0])
 
 
 def quantum_curve(grid, restarts: int = 50, seed: int = 0) -> list[tuple[float, float]]:

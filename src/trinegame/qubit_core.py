@@ -10,6 +10,10 @@ reduce to exact vector arithmetic:
 
 Complex 2x2 matrices never appear in this package; the test suite keeps
 an independent complex-matrix oracle for cross-checking.
+
+``zero_sum_alignment`` solves the measurement subproblem shared by the
+game optimizer and the guessing witness: the best effect Bloch parts
+y_b with sum_b y_b = 0 and |y_b| <= r_b for given linear targets.
 """
 
 from __future__ import annotations
@@ -229,6 +233,76 @@ def projector_effect(direction, alpha: float = 1.0, tol: float = DEFAULT_TOL) ->
 def povm_from_weighted_projectors(alphas, directions, tol: float = DEFAULT_TOL) -> Povm:
     effects = [projector_effect(d, a, tol=tol) for a, d in zip(alphas, directions)]
     return Povm(tuple(effects), alphas=tuple(float(a) for a in alphas), tol=tol)
+
+
+def zero_sum_alignment(c, r, lam=None, iters: int = 400) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize sum_b y_b.c_b over sum_b y_b = 0 and |y_b| <= r_b, row by row.
+
+    ``c`` stacks the targets of R problems, shape (R, k, 3); the radii
+    ``r`` (k,) are shared by every row; ``lam`` (R, 3) warm-starts the
+    multiplier.  Returns (y, lam), shapes (R, k, 3) and (R, 3).
+
+    The dual is min_lam sum_b r_b |c_b - lam|, the r-weighted geometric
+    median of the targets, and y_b = r_b (c_b - lam) / |c_b - lam| away
+    from lam.  Zero radii are inactive (y_b = 0).  Two active balls have
+    the closed form y = +-min(r) along c_1 - c_2.  Otherwise lam = c_a is
+    optimal iff the pull sum_b r_b (c_b - c_a) / |c_b - c_a| of the other
+    points is no longer than the total radius of the points coinciding
+    with c_a, which then share -pull in proportion to their radii; rows
+    without such an anchor run Weiszfeld's iteration from lam (default:
+    the r-weighted centroid).  A final r^2-weighted projection onto
+    sum y = 0 and one uniform shrink into the balls make y feasible up to
+    rounding: the shrink keeps the sum at zero.
+    """
+    c = np.asarray(c, dtype=float)
+    r = np.asarray(r, dtype=float)
+    idx = np.flatnonzero(r > 1e-12)
+    ca, ra = c[:, idx, :], r[idx]
+    if lam is None:
+        lam = (ra[None, :, None] * ca).sum(axis=1) / max(ra.sum(), 1e-300)
+    lam = np.array(lam, dtype=float)
+    y = np.zeros_like(c)
+    if idx.size < 2:
+        return y, lam
+    if idx.size == 2:
+        d = ca[:, 0, :] - ca[:, 1, :]
+        nd = np.linalg.norm(d, axis=1, keepdims=True)
+        unit = np.where(nd > 1e-14, d / np.maximum(nd, 1e-14), 0.0)
+        ya = ra.min() * np.stack([unit, -unit], axis=1)
+        lam[:] = ca[:, np.argmax(ra), :]  # the median sits on the larger ball's target
+    else:
+        # anchored test for every (row, a) at once: diffs[:, a, b] = c_b - c_a
+        diffs = ca[:, None, :, :] - ca[:, :, None, :]
+        norms = np.linalg.norm(diffs, axis=3)
+        near = norms <= 1e-14
+        units = np.where(near[..., None], 0.0, diffs / np.maximum(norms, 1e-14)[..., None])
+        pull = (ra[:, None] * units).sum(axis=2)
+        share = (ra * near).sum(axis=2)
+        ok = np.linalg.norm(pull, axis=2) <= share + 1e-14
+        free = ~ok.any(axis=1)
+        rows = np.flatnonzero(~free)
+        a = ok[rows].argmax(axis=1)
+        hold = near[rows, a] * (ra / share[rows, a, None])
+        ya = np.empty_like(ca)
+        ya[rows] = ra[:, None] * units[rows, a] - hold[..., None] * pull[rows, a, None, :]
+        lam[rows] = ca[rows, a]
+        if free.any():
+            cf, lf = ca[free], lam[free]
+            for _ in range(iters):
+                wgt = ra / np.maximum(np.linalg.norm(cf - lf[:, None, :], axis=2), 1e-14)
+                new = (wgt[..., None] * cf).sum(axis=1) / wgt.sum(axis=1, keepdims=True)
+                done = np.max(np.abs(new - lf)) < 1e-14
+                lf = new
+                if done:
+                    break
+            lam[free] = lf
+            diff = cf - lf[:, None, :]
+            ya[free] = ra[None, :, None] * diff / np.maximum(np.linalg.norm(diff, axis=2, keepdims=True), 1e-14)
+    ya -= (ra**2)[None, :, None] * (ya.sum(axis=1, keepdims=True) / (ra**2).sum())
+    over = (np.linalg.norm(ya, axis=2) / ra).max(axis=1)
+    ya /= np.maximum(over, 1.0)[:, None, None]
+    y[:, idx, :] = ya
+    return y, lam
 
 
 def random_state(rng: np.random.Generator, pure: bool = False) -> DensityState:

@@ -41,6 +41,15 @@ def born(state, effect) -> float:
     return float(np.real(np.trace(state_matrix(state) @ effect_matrix(effect))))
 
 
+def commutators_vanish(povm, tol: float = 1e-9) -> bool:
+    """Every pair of effect matrices commutes: the spectral norm of [E, F]
+    is 2 |v_E x v_F|, compared with 2 tol."""
+    mats = [effect_matrix(e) for e in povm.effects]
+    return all(
+        np.linalg.norm(a @ b - b @ a, 2) <= 2.0 * tol for a, b in combinations(mats, 2)
+    )
+
+
 def lp_best_vertex_value(c, a, b, lower, upper, tol: float = 1e-9) -> float:
     """Maximum of c.x over {a x = b, l <= x <= u} by basic-point enumeration.
 

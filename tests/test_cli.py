@@ -104,3 +104,17 @@ class TestCoherence:
         assert values["trine_free_any_basis"] == 0.0
         assert values["degenerate_sharp_free"] == 1.0
         assert values["formulations_agree"] == 60
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([command, "--format", "json"] for command in ("curve", "bounds", "simulate", "incompat", "coherence")),
+        *([command, "--restarts", "5"] for command in ("simulate", "incompat", "coherence")),
+        *([command, "--tol", "1e-9"] for command in ("curve", "incompat", "coherence")),
+    ],
+)
+def test_removed_flags_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -6,7 +6,6 @@ import pytest
 from trinegame.measurement_classicality import (
     CoplanarityError,
     add_noise,
-    all_commutators_vanish,
     all_effects_collinear,
     antidistinguishing_povm,
     carmeli_ensemble,
@@ -255,7 +254,7 @@ class TestCoherenceDetection:
         for idx in range(1000):
             povm = random_collinear_povm(rng) if idx % 2 else random_povm(rng, 3)
             a = all_effects_collinear(povm)
-            b = all_commutators_vanish(povm)
+            b = oracles.commutators_vanish(povm)
             c = common_diagonal_axis(povm) is not None
             assert a == b == c
             if idx % 2:

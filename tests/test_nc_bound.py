@@ -12,6 +12,7 @@ from trinegame.nc_bound import (
     assignment_patterns,
     build_nc_lp,
     nc_curve,
+    nc_global_max,
     nc_value,
     nc_value_all_assignments,
     objective_vector,
@@ -57,6 +58,16 @@ class TestAnchors:
     def test_curve_difference_of_anchors(self):
         vals = dict(nc_curve([1.0, 2 / 3]))
         assert vals[1.0] - vals[2 / 3] == pytest.approx(1 / 12, abs=1e-8)
+
+    def test_vertex_maximum_bounds_a_grid_over_the_triangle(self):
+        best, arg = nc_global_max()
+        assert best == pytest.approx(7 / 12, abs=1e-12)
+        assert sorted(arg) == [0.0, 1.0, 1.0]
+        grid = np.linspace(0.0, 1.0, 11)
+        for a0 in grid:
+            for a1 in grid:
+                if 1.0 <= a0 + a1 <= 2.0:
+                    assert nc_value((a0, a1, 2.0 - a0 - a1)) <= best + 1e-12
 
 
 class TestCeilingAndGap:

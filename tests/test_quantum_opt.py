@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trinegame.game import (
     check_parity_concealment,
@@ -20,6 +21,16 @@ from trinegame.quantum_opt import (
     splitmix64,
     trine_preparation_value,
 )
+
+# Outcome weights at which the optimizer once returned POVMs with a
+# completeness residual of about 6e-6 for most restart seeds.
+CRASH_TRIPLE = (0.16065200877512686, 0.9699254132161326, 0.8694225780087406)
+
+
+def _assert_certified(res):
+    assert validate_povm(res.strategy.povm.effects, tol=1e-9).passed
+    assert check_parity_concealment(res.strategy.preps).passed
+    assert res.value == success_probability(res.strategy)
 
 
 class TestAlphaTriple:
@@ -98,6 +109,21 @@ class TestOptimizer:
             for j in range(i + 1, 3):
                 angle = np.degrees(np.arccos(np.clip(units[i] @ units[j], -1, 1)))
                 assert angle == pytest.approx(120.0, abs=0.1)
+
+
+class TestWholeTriangle:
+    @pytest.mark.parametrize("seed", [0, 1, 8])
+    def test_crash_triple_gives_certified_strategy(self, seed):
+        res = optimize_quantum(CRASH_TRIPLE, restarts=50, seed=seed)
+        _assert_certified(res)
+        assert res.value == pytest.approx(trine_preparation_value(CRASH_TRIPLE), abs=1e-6)
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_every_weight_triple_gives_certified_strategy(self, u, v, seed):
+        lo, hi = sorted((u, v))
+        # alpha = 1 - beta with beta = (lo, hi - lo, 1 - hi) on the unit simplex
+        _assert_certified(optimize_quantum((1.0 - lo, 1.0 - hi + lo, hi), restarts=3, seed=seed))
 
 
 class TestCurve:
