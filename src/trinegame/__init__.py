@@ -35,7 +35,7 @@ from .quantum_opt import (
     quantum_curve,
     trine_preparation_value,
 )
-from .lp_engine import LinearProgram, LpFamily, LpSolution, format_lp, solve
+from .lp_engine import LinearProgram, LpFamily, LpNumericalError, LpSolution, format_lp, solve
 from .nc_bound import build_nc_lp, nc_curve, nc_global_max, nc_value, nc_value_all_assignments
 from .classical_bound import (
     CLASSICAL_OPTIMUM,

@@ -2,9 +2,12 @@
 incompatibility checks, coherence classification.
 
 Curves go to CSV (six decimal places); scalar reports go to JSON records
-{quantity, value, reference_value, tolerance, pass}.  Exit code 0 when all
-checks pass, 1 on a failed check, 2 on usage errors.  Identical command,
-flags and seed produce byte-identical output.
+{quantity, value, reference_value, tolerance, pass}.  Exit codes: 0 when
+all checks pass, 1 on a failed check or an invalid value or file, 2 on usage
+errors, 3 when a linear program fails numerically (the simplex iteration
+limit, or an optimal point that misses its constraints); codes 1 and 3
+print a one-line ``error:`` message on stderr.  Identical command, flags
+and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import sys
 import numpy as np
 
 from . import classical_bound, measurement_classicality as mc, nc_bound, povm_simulation, quantum_opt
+from .lp_engine import LpNumericalError
 from .quantum_opt import AlphaTriple, QUANTUM_OPTIMUM
 
 CLASSICAL_REF = classical_bound.CLASSICAL_OPTIMUM
@@ -256,6 +260,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except LpNumericalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

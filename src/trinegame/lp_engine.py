@@ -3,9 +3,22 @@
 Maximizes c.x subject to A x = b and l <= x <= u.  Lower bounds are
 shifted to zero; upper bounds are handled natively by the bounded-variable
 rules (nonbasic variables may sit at either bound, with bound flips in the
-ratio test).  Bland's anti-cycling rule is always on, so every solve
-terminates and is deterministic.  Problem sizes here are tens of variables
-and constraints; no sparse machinery is warranted.
+ratio test).  Problem sizes here are at most tens of rows and hundreds of
+columns; no sparse machinery is warranted.
+
+Pricing is Dantzig's: the favourable column with the largest |reduced cost|
+enters.  After DEGENERATE_RUN consecutive degenerate steps (step length at
+most 1e-12) the entering column is chosen by Bland's smallest-index rule
+instead, until the next step that moves the point.  Bland's rule cannot
+cycle through a degenerate stall and every step that moves raises the
+objective, so no basis repeats and every solve terminates.  In the ratio
+test the smallest basic index leaves among rows whose ratio is within 1e-12
+of the minimum.  Solves are deterministic.
+
+Each "optimal" point is checked against the original equalities: a residual
+|A x - b| above FEASIBILITY_TOL * max(1, |b|_inf) raises LpNumericalError,
+as does the iteration limit, so tableau drift never yields a silent answer.
+Solutions carry their phase-1 and phase-2 pivot counts.
 """
 
 from __future__ import annotations
@@ -17,10 +30,16 @@ import numpy as np
 PIVOT_TOL = 1e-11
 FEASIBILITY_TOL = 1e-9
 _MAX_ITERS = 50_000
+DEGENERATE_RUN = 50  # consecutive degenerate steps before Bland's rule takes over
 
 
 class LpDimensionError(ValueError):
     """Inconsistent LP dimensions or invalid bounds."""
+
+
+class LpNumericalError(RuntimeError):
+    """The simplex hit its iteration limit, or its optimal point fails the
+    equality constraints by more than the feasibility tolerance."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,6 +95,8 @@ class LpSolution:
     x: np.ndarray | None
     residual: float
     phase1_objective: float = 0.0
+    phase1_pivots: int = 0       # basis exchanges in phase 1 (shared by an LpFamily)
+    phase2_pivots: int = 0       # basis exchanges in this objective's phase 2
 
 
 class _Dictionary:
@@ -86,22 +107,24 @@ class _Dictionary:
         sign = np.where(b0 < 0.0, -1.0, 1.0)
         self.tab = np.hstack([a * sign[:, None], np.eye(m)])
         self.rhs = b0 * sign
-        self.basis = list(range(n, n + m))
+        self.basis = np.arange(n, n + m)
         self.span = np.concatenate([span, np.full(m, np.inf)])
         self.at_upper = np.zeros(n + m, dtype=bool)
         self.is_basic = np.zeros(n + m, dtype=bool)
         self.is_basic[n:] = True
         self.n_struct = n
+        self.pivots = 0
 
     def clone(self) -> "_Dictionary":
         other = object.__new__(_Dictionary)
         other.tab = self.tab.copy()
         other.rhs = self.rhs.copy()
-        other.basis = list(self.basis)
+        other.basis = self.basis.copy()
         other.span = self.span.copy()
         other.at_upper = self.at_upper.copy()
         other.is_basic = self.is_basic.copy()
         other.n_struct = self.n_struct
+        other.pivots = 0
         return other
 
     def basic_values(self) -> np.ndarray:
@@ -133,51 +156,57 @@ class _Dictionary:
         self.is_basic[col] = True
         self.at_upper[col] = False
         self.basis[row] = col
+        self.pivots += 1
 
     def run(self, cost: np.ndarray, allowed: np.ndarray) -> str:
-        """Maximize cost.y with Bland's rule; returns "optimal" or "unbounded"."""
+        """Maximize cost.y; returns "optimal" or "unbounded".
+
+        Dantzig pricing, switching to Bland's rule after DEGENERATE_RUN
+        consecutive degenerate steps until the next step that moves.
+        """
         tab, span = self.tab, self.span
         enterable = allowed & (span > PIVOT_TOL)
+        degenerate = 0
         for _ in range(_MAX_ITERS):
-            cb = cost[self.basis]
-            reduced = cost - cb @ tab if len(self.basis) else cost.copy()
-            favorable = enterable & ~self.is_basic & (
-                (~self.at_upper & (reduced > PIVOT_TOL)) | (self.at_upper & (reduced < -PIVOT_TOL))
+            reduced = cost - cost[self.basis] @ tab
+            favorable = enterable & ~self.is_basic & np.where(
+                self.at_upper, reduced < -PIVOT_TOL, reduced > PIVOT_TOL
             )
             idx = np.flatnonzero(favorable)
             if idx.size == 0:
                 return "optimal"
-            j = int(idx[0])  # Bland: smallest index enters
+            if degenerate < DEGENERATE_RUN:
+                j = int(idx[np.argmax(np.abs(reduced[idx]))])
+            else:
+                j = int(idx[0])
             sigma = -1.0 if self.at_upper[j] else 1.0
             col = sigma * tab[:, j]
             beta = self.basic_values()
 
-            # ratio test: how far the entering variable can move
-            row_ratios = []  # (t, basic var index, row, leaves to upper bound)
-            for i in range(len(self.basis)):
-                ci = col[i]
-                if ci > PIVOT_TOL:
-                    t = max(beta[i], 0.0) / ci
-                    row_ratios.append((t, self.basis[i], i, False))
-                elif ci < -PIVOT_TOL and np.isfinite(span[self.basis[i]]):
-                    t = max(span[self.basis[i]] - beta[i], 0.0) / (-ci)
-                    row_ratios.append((t, self.basis[i], i, True))
-            row_min = min((t for t, _, _, _ in row_ratios), default=np.inf)
-            t_best = min(span[j], row_min)
-            if not np.isfinite(t_best):
+            # ratio test: how far the entering variable can move before a
+            # basic variable hits its lower (col > 0) or upper (col < 0) bound
+            basic_span = span[self.basis]
+            to_lower = col > PIVOT_TOL
+            to_upper = (col < -PIVOT_TOL) & np.isfinite(basic_span)
+            ratios = np.full(col.size, np.inf)
+            ratios[to_lower] = np.maximum(beta[to_lower], 0.0) / col[to_lower]
+            ratios[to_upper] = np.maximum(basic_span[to_upper] - beta[to_upper], 0.0) / -col[to_upper]
+            row_min = ratios.min(initial=np.inf)
+            step = min(span[j], row_min)
+            if not np.isfinite(step):
                 return "unbounded"
-            if row_min <= span[j] + 1e-12 and row_ratios:
-                # Bland tie-break: smallest basic variable index among minimal ratios
-                _, leave_row, leave_to_upper = min(
-                    (var, i, up) for t, var, i, up in row_ratios if t <= row_min + 1e-12
-                )
+            degenerate = degenerate + 1 if step <= 1e-12 else 0
+            if row_min <= span[j] + 1e-12:
+                # smallest basic variable index among the minimal ratios leaves
+                ties = np.flatnonzero(ratios <= row_min + 1e-12)
+                leave_row = int(ties[np.argmin(self.basis[ties])])
                 leaving = self.basis[leave_row]
                 self._pivot(leave_row, j)
-                self.at_upper[leaving] = leave_to_upper
+                self.at_upper[leaving] = to_upper[leave_row]
             else:
                 # entering variable flips to its other bound
                 self.at_upper[j] = not self.at_upper[j]
-        raise RuntimeError("simplex iteration limit exceeded")
+        raise LpNumericalError("simplex iteration limit exceeded")
 
     def drop_artificials(self):
         """Pivot artificial variables out of the basis; drop redundant rows."""
@@ -201,7 +230,7 @@ class _Dictionary:
                 self.is_basic[self.basis[row]] = False
             self.tab = self.tab[keep]
             self.rhs = self.rhs[keep]
-            self.basis = [self.basis[i] for i in keep]
+            self.basis = self.basis[keep]
         self.tab = self.tab[:, :n]
         self.span = self.span[:n]
         self.at_upper = self.at_upper[:n]
@@ -216,14 +245,14 @@ def _phase1(a: np.ndarray, b0: np.ndarray, span: np.ndarray) -> tuple[_Dictionar
         d.span = span.copy()
         d.at_upper = np.zeros(n, dtype=bool)
         d.is_basic = np.zeros(n, dtype=bool)
-        d.basis = []
+        d.basis = np.arange(0)
         d.n_struct = n
         return d, 0.0
     cost = np.concatenate([np.zeros(n), -np.ones(m)])
     allowed = np.ones(n + m, dtype=bool)
     status = d.run(cost, allowed)
     if status != "optimal":  # pragma: no cover - phase 1 is always bounded
-        raise RuntimeError("phase 1 unbounded")
+        raise LpNumericalError("phase 1 unbounded")
     y = d.point()
     infeas = float(y[n:].sum())
     return d, infeas
@@ -252,26 +281,34 @@ class LpFamily:
         if self.feasible:
             core.drop_artificials()
             self._core = core
+        self.phase1_pivots = core.pivots
 
     def maximize(self, objective) -> LpSolution:
         c = np.asarray(objective, dtype=float).reshape(-1)
         if c.size != self.lower.size:
             raise LpDimensionError("objective size mismatch")
         if not self.feasible:
-            return LpSolution("infeasible", float("nan"), None, float("inf"), self.phase1_objective)
+            return LpSolution(
+                "infeasible", float("nan"), None, float("inf"), self.phase1_objective, self.phase1_pivots
+            )
         d = self._core.clone()
         status = d.run(c, np.ones(d.n_struct, dtype=bool))
         if status == "unbounded":
-            return LpSolution("unbounded", float("inf"), None, float("inf"), 0.0)
+            return LpSolution("unbounded", float("inf"), None, float("inf"), 0.0, self.phase1_pivots, d.pivots)
         y = d.point()
         x = y + self.lower
         x = np.clip(x, self.lower, self.upper)
         residual = float(np.max(np.abs(self.a @ x - self.b))) if self.a.shape[0] else 0.0
-        return LpSolution("optimal", float(c @ x), x, residual, 0.0)
+        limit = FEASIBILITY_TOL * max(1.0, float(np.max(np.abs(self.b), initial=0.0)))
+        if not residual <= limit:
+            raise LpNumericalError(
+                f"simplex point misses the equality constraints by {residual:.3g} (limit {limit:.3g})"
+            )
+        return LpSolution("optimal", float(c @ x), x, residual, 0.0, self.phase1_pivots, d.pivots)
 
 
 def solve(lp: LinearProgram) -> LpSolution:
-    """Two-phase bounded simplex; Bland's rule on throughout."""
+    """Two-phase bounded simplex; see the module docstring for the rules."""
     family = LpFamily(lp.eq_matrix, lp.eq_rhs, lp.lower, lp.upper)
     return family.maximize(lp.objective)
 

@@ -250,23 +250,30 @@ def _ascend_strategy(ensemble: PartitionedEnsemble, weights: np.ndarray, y: np.n
     return value, povm, tuple(assignment)
 
 
+def _post_measurement_dual(ensemble: PartitionedEnsemble):
+    """(pair Bloch parts, ball center, ball radius R, upper bound 2(1/6 + R)).
+
+    min Tr[Y] over Y >= W_ij for all nine pair operators: every W_ij has
+    identity coefficient 1/6, so the optimal Y is 1/6 + R plus the center of
+    the minimum enclosing ball of the W Bloch parts, an exact dual optimum.
+    """
+    pts = np.array([op.vec for op in ensemble.pair_operators()])
+    center, radius = min_enclosing_ball(pts)
+    return pts, center, radius, 2.0 * (1.0 / 6.0 + radius)
+
+
 def post_guess_bounds(
     ensemble: PartitionedEnsemble, restarts: int = 12, seed: int = 7
 ) -> tuple[float, float, PauliOperator, Povm, tuple]:
     """(p_post_lower, p_post_upper, dual certificate, witness POVM, assignment).
 
-    Upper bound: min Tr[Y] over Y >= W_ij for all nine pair operators.  All
-    W_ij share identity coefficient 1/6, so the optimal Y is 1/6 + R plus
-    the center of the minimum enclosing ball of the W Bloch parts: an exact
-    dual optimum, not an estimate.  Lower bound: the best explicit strategy
-    found by random-restart ascent over Bloch-parametrized POVMs, evaluated
-    directly; structured starts include the dual ball's diameter direction
-    and the z basis.
+    Upper bound: the exact dual optimum of ``_post_measurement_dual``, not
+    an estimate.  Lower bound: the best explicit strategy found by
+    random-restart ascent over Bloch-parametrized POVMs, evaluated directly;
+    structured starts include the dual ball's diameter direction and the z
+    basis.
     """
-    pair_ops = ensemble.pair_operators()
-    pts = np.array([op.vec for op in pair_ops])
-    center, radius = min_enclosing_ball(pts)
-    upper = 2.0 * (1.0 / 6.0 + radius)
+    pts, center, radius, upper = _post_measurement_dual(ensemble)
     certificate = PauliOperator(1.0 / 6.0 + radius, center)
 
     # contact points of the ball give the best two-outcome direction
@@ -324,7 +331,7 @@ def guessing_report(
 def incompatibility_witness(m_first: Povm, m_second: Povm, ensemble: PartitionedEnsemble) -> float:
     """prior_guess minus the certified post-measurement optimum; a positive
     margin proves the pair incompatible."""
-    _, upper, _, _, _ = post_guess_bounds(ensemble)
+    upper = _post_measurement_dual(ensemble)[3]
     return prior_guess(ensemble, m_first, m_second) - upper
 
 
@@ -352,9 +359,9 @@ def _common_plane_basis(povms, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarra
     return vt[0], vt[1]
 
 
-def _joint_feasible(m_first: Povm, m_second: Povm, generators: np.ndarray) -> bool:
-    """Feasibility of a 3x3 joint POVM with effects in the cone spanned by
-    (1, g) for the given in-plane generator directions g."""
+def _joint_lp(m_first: Povm, m_second: Povm, generators: np.ndarray) -> LinearProgram:
+    """Feasibility LP of a 3x3 joint POVM with effects in the cone spanned
+    by (1, g) for the given in-plane generator directions g."""
     e1, e2 = _common_plane_basis((m_first, m_second))
     n_gen = generators.shape[0]
     n_vars = 9 * n_gen
@@ -382,14 +389,13 @@ def _joint_feasible(m_first: Povm, m_second: Povm, generators: np.ndarray) -> bo
                     row[var(i, j, m)] = 1.0 if comp == 0 else generators[m, comp - 1]
             rows.append(row)
             rhs.append(coords[comp])
-    lp = LinearProgram(
+    return LinearProgram(
         objective=np.zeros(n_vars),
         eq_matrix=np.array(rows),
         eq_rhs=np.array(rhs),
         lower=np.zeros(n_vars),
         upper=np.full(n_vars, np.inf),
     )
-    return solve(lp).status == "optimal"
 
 
 def _polygon_generators(m_first: Povm, m_second: Povm, k: int, radius: float, include_inputs: bool):
@@ -417,15 +423,13 @@ def joint_measurability_check(m_first: Povm, m_second: Povm, polygon_k: int = 64
     """
     if len(m_first) != 3 or len(m_second) != 3:
         raise ValueError("expected three-outcome measurements")
-    inner = _joint_feasible(
-        m_first, m_second, _polygon_generators(m_first, m_second, polygon_k, 1.0, True)
-    )
+    inner_gens = _polygon_generators(m_first, m_second, polygon_k, 1.0, True)
+    inner = solve(_joint_lp(m_first, m_second, inner_gens)).status == "optimal"
     if inner:
         return JointMeasurabilityResult("compatible", True, True, polygon_k)
     outer_radius = 1.0 / np.cos(np.pi / polygon_k)
-    outer = _joint_feasible(
-        m_first, m_second, _polygon_generators(m_first, m_second, polygon_k, outer_radius, False)
-    )
+    outer_gens = _polygon_generators(m_first, m_second, polygon_k, outer_radius, False)
+    outer = solve(_joint_lp(m_first, m_second, outer_gens)).status == "optimal"
     verdict = "incompatible" if not outer else "undecided"
     return JointMeasurabilityResult(verdict, False, outer, polygon_k)
 

@@ -184,5 +184,9 @@ def nc_global_max() -> tuple[float, tuple]:
     is affine in alpha, so P_NC(alpha) is a maximum of affine functions of
     alpha and therefore convex.  A convex function on a triangle attains
     its maximum at a vertex, so three LP solves give the exact maximum.
+    The first vertex within 1e-12 of the best value is reported, so LP
+    rounding noise cannot move the reported vertex.
     """
-    return max(((nc_value(alpha), alpha) for alpha in TRIANGLE_VERTICES), key=lambda pair: pair[0])
+    values = [nc_value(alpha) for alpha in TRIANGLE_VERTICES]
+    best = next(i for i, value in enumerate(values) if value >= max(values) - 1e-12)
+    return values[best], TRIANGLE_VERTICES[best]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from trinegame import lp_engine
 from trinegame.cli import main
 
 
@@ -93,6 +94,14 @@ class TestIncompat:
         assert values["p_post_upper"] < 0.64
         assert values["witness_margin"] > 0.02
         assert values["pairs_incompatible"] == 10
+
+    def test_lp_failure_exits_with_code_three(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(lp_engine, "_MAX_ITERS", 1)
+        out = tmp_path / "inc.json"
+        assert main(["incompat", "--polygon-k", "8", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: simplex iteration limit exceeded\n"
+        assert not out.exists()
 
 
 class TestCoherence:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from trinegame import measurement_classicality
 from trinegame.measurement_classicality import (
     CoplanarityError,
     add_noise,
@@ -162,6 +163,8 @@ class TestIncompatibilityWitness:
         margin = incompatibility_witness(M0, M1, carmeli_ensemble())
         assert margin == pytest.approx(2 / 3 - (3 + np.cos(np.pi / 5)) / 6, abs=1e-9)
         assert margin > 0.02
+        _, upper, _, _, _ = post_guess_bounds(carmeli_ensemble())
+        assert margin == prior_guess(carmeli_ensemble(), M0, M1) - upper
 
     def test_same_measurement_has_no_margin(self):
         assert incompatibility_witness(M0, M0, carmeli_ensemble()) <= 1e-9
@@ -189,6 +192,34 @@ class TestJointMeasurability:
 
     def test_noisy_pair_compatible(self):
         assert joint_measurability_check(add_noise(M0, 0.1), add_noise(M1, 0.1)).verdict == "compatible"
+
+    def test_k64_check_pivot_count(self, monkeypatch):
+        # 1,885 pivots under Bland's rule alone; Dantzig pricing needs 66
+        solutions = []
+        solve = measurement_classicality.solve
+
+        def recording_solve(lp):
+            solutions.append(solve(lp))
+            return solutions[-1]
+
+        monkeypatch.setattr(measurement_classicality, "solve", recording_solve)
+        assert joint_measurability_check(M0, M1, polygon_k=64).verdict == "incompatible"
+        assert len(solutions) == 2
+        assert sum(s.phase1_pivots + s.phase2_pivots for s in solutions) <= 377
+
+    def test_noise_thresholds_respect_rotation_symmetry(self):
+        # the five simulators are rotations of one another by 72 degrees, so
+        # the bracket depends only on whether the pair is adjacent
+        adjacent = {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
+        for o in range(5):
+            for o2 in range(o + 1, 5):
+                bracket = noise_compatibility_threshold(
+                    SIM5.members[o].povm, SIM5.members[o2].povm, polygon_k=64, tol=1e-4
+                )
+                if (o, o2) in adjacent:
+                    assert bracket == (0.78033447265625, 0.7803955078125), (o, o2)
+                else:
+                    assert bracket == (0.834716796875, 0.83477783203125), (o, o2)
 
     def test_noise_threshold_bracket(self):
         lo, hi = noise_compatibility_threshold(M0, M1, polygon_k=32, tol=1e-3)

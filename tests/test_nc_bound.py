@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from trinegame import nc_bound
 from trinegame.lp_engine import format_lp, solve
 from trinegame.nc_bound import (
     DEFAULT_ASSIGNMENT,
     EQ_MATRIX,
     N_VARS,
+    TRIANGLE_VERTICES,
     VARIABLE_NAMES,
     assignment_patterns,
     build_nc_lp,
@@ -68,6 +70,13 @@ class TestAnchors:
             for a1 in grid:
                 if 1.0 <= a0 + a1 <= 2.0:
                     assert nc_value((a0, a1, 2.0 - a0 - a1)) <= best + 1e-12
+
+    def test_vertex_ties_within_rounding_report_the_first_vertex(self, monkeypatch):
+        values = dict(zip(TRIANGLE_VERTICES, (7 / 12, 7 / 12 + 2e-16, 7 / 12 - 1e-16)))
+        monkeypatch.setattr(nc_bound, "nc_value", lambda alpha: values[tuple(alpha)])
+        assert nc_global_max() == (7 / 12, TRIANGLE_VERTICES[0])
+        values[TRIANGLE_VERTICES[2]] = 7 / 12 + 1e-9
+        assert nc_global_max() == (7 / 12 + 1e-9, TRIANGLE_VERTICES[2])
 
 
 class TestCeilingAndGap:
