@@ -11,7 +11,6 @@ from .qubit_core import (
     PauliOperator,
     Povm,
     born_probability,
-    effect_eigenvalues,
     outcome_probabilities,
     povm_from_weighted_projectors,
     projector_effect,

@@ -240,14 +240,6 @@ class _Dictionary:
 def _phase1(a: np.ndarray, b0: np.ndarray, span: np.ndarray) -> tuple[_Dictionary, float]:
     m, n = a.shape
     d = _Dictionary(a, b0, span)
-    if m == 0:
-        d.tab = np.zeros((0, n))
-        d.span = span.copy()
-        d.at_upper = np.zeros(n, dtype=bool)
-        d.is_basic = np.zeros(n, dtype=bool)
-        d.basis = np.arange(0)
-        d.n_struct = n
-        return d, 0.0
     cost = np.concatenate([np.zeros(n), -np.ones(m)])
     allowed = np.ones(n + m, dtype=bool)
     status = d.run(cost, allowed)

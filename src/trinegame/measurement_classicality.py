@@ -42,6 +42,7 @@ from .qubit_core import (
 )
 
 TWO_FIFTHS_PI = 2.0 * np.pi / 5.0
+GUESS_RESTARTS = 12  # random starts of the guessing-strategy ascent
 
 
 class CoplanarityError(ValueError):
@@ -120,27 +121,13 @@ def ensemble_for_simulator_pair(o_first: int, o_second: int) -> PartitionedEnsem
     return PartitionedEnsemble(part0, part1)
 
 
-def prior_guess(
-    ensemble: PartitionedEnsemble,
-    m_first: Povm,
-    m_second: Povm,
-    assignment_first=(0, 1, 2),
-    assignment_second=(0, 1, 2),
-) -> float:
-    """Discrimination success when the partition label arrives first.
-
-    Measurement outcomes guess states positionally by default: outcome k of
-    m_first guesses part0[assignment_first.index(k)] and likewise for the
-    second partition.
-    """
+def prior_guess(ensemble: PartitionedEnsemble, m_first: Povm, m_second: Povm) -> float:
+    """Discrimination success when the partition label arrives first:
+    outcome k of m_first guesses part0[k], outcome k of m_second part1[k]."""
     if len(m_first) != 3 or len(m_second) != 3:
         raise ValueError("expected three-outcome measurements")
-    total = 0.0
-    for i, state in enumerate(ensemble.part0):
-        total += born_probability(state, m_first.effects[assignment_first[i]])
-    for j, state in enumerate(ensemble.part1):
-        total += born_probability(state, m_second.effects[assignment_second[j]])
-    return total / 6.0
+    pairs = zip(ensemble.part0 + ensemble.part1, m_first.effects + m_second.effects)
+    return sum(born_probability(state, eff) for state, eff in pairs) / 6.0
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +250,15 @@ def _post_measurement_dual(ensemble: PartitionedEnsemble):
 
 
 def post_guess_bounds(
-    ensemble: PartitionedEnsemble, restarts: int = 12, seed: int = 7
+    ensemble: PartitionedEnsemble, seed: int = 7
 ) -> tuple[float, float, PauliOperator, Povm, tuple]:
     """(p_post_lower, p_post_upper, dual certificate, witness POVM, assignment).
 
     Upper bound: the exact dual optimum of ``_post_measurement_dual``, not
     an estimate.  Lower bound: the best explicit strategy found by
-    random-restart ascent over Bloch-parametrized POVMs, evaluated directly;
-    structured starts include the dual ball's diameter direction and the z
-    basis.
+    GUESS_RESTARTS random-restart ascents over Bloch-parametrized POVMs,
+    evaluated directly; structured starts include the dual ball's diameter
+    direction and the z basis.
     """
     pts, center, radius, upper = _post_measurement_dual(ensemble)
     certificate = PauliOperator(1.0 / 6.0 + radius, center)
@@ -293,7 +280,7 @@ def post_guess_bounds(
         np.array([1.0, 0.5, 0.5]),
         np.full(4, 0.5),
     ]
-    for t in range(restarts):
+    for t in range(GUESS_RESTARTS):
         weights = weight_menu[t % len(weight_menu)]
         vecs = rng.normal(size=(len(weights), 3))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
@@ -312,10 +299,9 @@ def guessing_report(
     ensemble: PartitionedEnsemble,
     m_first: Povm,
     m_second: Povm,
-    restarts: int = 12,
     seed: int = 7,
 ) -> GuessingReport:
-    lower, upper, certificate, povm, assignment = post_guess_bounds(ensemble, restarts, seed)
+    lower, upper, certificate, povm, assignment = post_guess_bounds(ensemble, seed)
     prior = prior_guess(ensemble, m_first, m_second)
     return GuessingReport(
         p_prior=prior,
@@ -347,69 +333,59 @@ class JointMeasurabilityResult:
     polygon_k: int
 
 
-def _common_plane_basis(povms, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    vecs = np.array([e.vec for povm in povms for e in povm.effects])
-    norms = np.linalg.norm(vecs, axis=1)
-    vecs = vecs[norms > 1e-13]
-    if len(vecs) == 0:
-        return np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
-    _, svals, vt = np.linalg.svd(vecs, full_matrices=True)
-    if svals.size >= 3 and svals[2] > tol * svals[0]:
-        raise CoplanarityError("effect Bloch vectors are not coplanar")
-    return vt[0], vt[1]
+# MARGINALS[r, 3i + j] = 1 when joint effect G_ij enters marginal r: rows
+# 0-2 sum over j (effect i of the first POVM), rows 3-5 sum over i (effect
+# j of the second)
+MARGINALS = np.vstack([np.kron(np.eye(3), np.ones(3)), np.kron(np.ones(3), np.eye(3))])
 
 
-def _joint_lp(m_first: Povm, m_second: Povm, generators: np.ndarray) -> LinearProgram:
+def _plane_coords(m_first: Povm, m_second: Povm, tol: float = 1e-9) -> np.ndarray:
+    """(2, 3, 3) array: (weight, e1 part, e2 part) of each effect of the two
+    three-outcome POVMs, in an orthonormal basis (e1, e2) of the plane that
+    holds all their Bloch vectors."""
+    effects = m_first.effects + m_second.effects
+    vecs = np.array([e.vec for e in effects])
+    nonzero = vecs[np.linalg.norm(vecs, axis=1) > 1e-13]
+    if len(nonzero) == 0:
+        basis = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    else:
+        _, svals, vt = np.linalg.svd(nonzero, full_matrices=True)
+        if svals.size >= 3 and svals[2] > tol * svals[0]:
+            raise CoplanarityError("effect Bloch vectors are not coplanar")
+        basis = vt[:2]
+    weights = np.array([e.weight for e in effects])
+    return np.column_stack([weights, vecs @ basis.T]).reshape(2, 3, 3)
+
+
+def _joint_lp(coords: np.ndarray, generators: np.ndarray) -> LinearProgram:
     """Feasibility LP of a 3x3 joint POVM with effects in the cone spanned
-    by (1, g) for the given in-plane generator directions g."""
-    e1, e2 = _common_plane_basis((m_first, m_second))
-    n_gen = generators.shape[0]
-    n_vars = 9 * n_gen
+    by (1, g) for the given in-plane generator directions g.
 
-    def var(i: int, j: int, m: int) -> int:
-        return (3 * i + j) * n_gen + m
-
-    rows = []
-    rhs = []
-    for i, eff in enumerate(m_first.effects):
-        coords = (eff.weight, eff.vec @ e1, eff.vec @ e2)
-        for comp in range(3):
-            row = np.zeros(n_vars)
-            for j in range(3):
-                for m in range(n_gen):
-                    row[var(i, j, m)] = 1.0 if comp == 0 else generators[m, comp - 1]
-            rows.append(row)
-            rhs.append(coords[comp])
-    for j, eff in enumerate(m_second.effects):
-        coords = (eff.weight, eff.vec @ e1, eff.vec @ e2)
-        for comp in range(3):
-            row = np.zeros(n_vars)
-            for i in range(3):
-                for m in range(n_gen):
-                    row[var(i, j, m)] = 1.0 if comp == 0 else generators[m, comp - 1]
-            rows.append(row)
-            rhs.append(coords[comp])
+    Variable (3i + j) * n_gen + m is the weight of (1, g_m) in G_ij; row
+    3r + c is component c of marginal r, matched to ``coords.reshape(-1)``.
+    """
+    cone = np.vstack([np.ones(len(generators)), generators.T])
+    n_vars = 9 * len(generators)
     return LinearProgram(
         objective=np.zeros(n_vars),
-        eq_matrix=np.array(rows),
-        eq_rhs=np.array(rhs),
+        eq_matrix=np.kron(MARGINALS, cone),
+        eq_rhs=coords.reshape(-1),
         lower=np.zeros(n_vars),
         upper=np.full(n_vars, np.inf),
     )
 
 
-def _polygon_generators(m_first: Povm, m_second: Povm, k: int, radius: float, include_inputs: bool):
-    angles = [2.0 * np.pi * m / k for m in range(k)]
-    gens = [(radius * np.cos(a), radius * np.sin(a)) for a in angles]
+def _polygon_generators(coords: np.ndarray, k: int, radius: float, include_inputs: bool) -> np.ndarray:
+    """Vertices of the regular k-gon of the given radius, plus the unit
+    in-plane directions of the nonzero input effects when include_inputs."""
+    angles = 2.0 * np.pi * np.arange(k) / k
+    gens = radius * np.column_stack([np.cos(angles), np.sin(angles)])
     if include_inputs:
-        e1, e2 = _common_plane_basis((m_first, m_second))
-        for povm in (m_first, m_second):
-            for eff in povm.effects:
-                v = np.array([eff.vec @ e1, eff.vec @ e2])
-                n = np.linalg.norm(v)
-                if n > 1e-12:
-                    gens.append(tuple(v / n))
-    return np.array(gens)
+        planar = coords[:, :, 1:].reshape(6, 2)
+        norms = np.linalg.norm(planar, axis=1)
+        keep = norms > 1e-12
+        gens = np.vstack([gens, planar[keep] / norms[keep, None]])
+    return gens
 
 
 def joint_measurability_check(m_first: Povm, m_second: Povm, polygon_k: int = 64) -> JointMeasurabilityResult:
@@ -423,13 +399,14 @@ def joint_measurability_check(m_first: Povm, m_second: Povm, polygon_k: int = 64
     """
     if len(m_first) != 3 or len(m_second) != 3:
         raise ValueError("expected three-outcome measurements")
-    inner_gens = _polygon_generators(m_first, m_second, polygon_k, 1.0, True)
-    inner = solve(_joint_lp(m_first, m_second, inner_gens)).status == "optimal"
+    coords = _plane_coords(m_first, m_second)
+    inner_gens = _polygon_generators(coords, polygon_k, 1.0, True)
+    inner = solve(_joint_lp(coords, inner_gens)).status == "optimal"
     if inner:
         return JointMeasurabilityResult("compatible", True, True, polygon_k)
     outer_radius = 1.0 / np.cos(np.pi / polygon_k)
-    outer_gens = _polygon_generators(m_first, m_second, polygon_k, outer_radius, False)
-    outer = solve(_joint_lp(m_first, m_second, outer_gens)).status == "optimal"
+    outer_gens = _polygon_generators(coords, polygon_k, outer_radius, False)
+    outer = solve(_joint_lp(coords, outer_gens)).status == "optimal"
     verdict = "incompatible" if not outer else "undecided"
     return JointMeasurabilityResult(verdict, False, outer, polygon_k)
 
@@ -546,14 +523,14 @@ def is_free_in_any_basis(povm: Povm, tol: float = 1e-9) -> CoherenceDetectionRep
     maximizes Tr[(rho - Lambda rho) E] with value equal to the off-axis
     Bloch magnitude.
     """
-    axis = common_diagonal_axis(povm, tol)
-    if axis is not None:
-        return CoherenceDetectionReport(True, axis, 0.0, None, None)
     vecs = np.array([e.vec for e in povm.effects])
-    _, _, vt = np.linalg.svd(vecs)
-    best_axis = vt[0]
-    perp = vecs - (vecs @ best_axis)[:, None] * best_axis[None, :]
+    if np.all(np.linalg.norm(vecs, axis=1) <= tol):
+        return CoherenceDetectionReport(True, np.array([0.0, 0.0, 1.0]), 0.0, None, None)
+    axis = np.linalg.svd(vecs)[2][0]
+    perp = vecs - (vecs @ axis)[:, None] * axis[None, :]
     mags = np.linalg.norm(perp, axis=1)
+    if mags.max() <= tol:
+        return CoherenceDetectionReport(True, axis, 0.0, None, None)
     worst = int(np.argmax(mags))
     direction = perp[worst] / mags[worst]
     return CoherenceDetectionReport(

@@ -205,11 +205,6 @@ def outcome_probabilities(state: DensityState, povm: Povm) -> np.ndarray:
     return np.array([born_probability(state, e) for e in povm.effects])
 
 
-def effect_eigenvalues(effect: Effect) -> tuple[float, float]:
-    """(w - |vec|, w + |vec|), ascending."""
-    return effect.eigenvalues()
-
-
 def validate_povm(effects, tol: float = DEFAULT_TOL) -> PovmValidationReport:
     """Report-style check: per-effect positivity and completeness residual."""
     psd = []

@@ -137,9 +137,10 @@ def joint_measurability_lps():
         for o in range(5):
             for o2 in range(o + 1, 5):
                 first, second = mc.add_noise(members[o], eta), mc.add_noise(members[o2], eta)
+                coords = mc._plane_coords(first, second)
                 for radius, include_inputs in ((1.0, True), (1.0 / np.cos(np.pi / k), False)):
-                    gens = mc._polygon_generators(first, second, k, radius, include_inputs)
-                    yield (eta, o, o2, include_inputs), mc._joint_lp(first, second, gens)
+                    gens = mc._polygon_generators(coords, k, radius, include_inputs)
+                    yield (eta, o, o2, include_inputs), mc._joint_lp(coords, gens)
 
 
 class TestAgainstHighs:

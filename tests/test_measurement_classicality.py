@@ -193,6 +193,32 @@ class TestJointMeasurability:
     def test_noisy_pair_compatible(self):
         assert joint_measurability_check(add_noise(M0, 0.1), add_noise(M1, 0.1)).verdict == "compatible"
 
+    def test_joint_lp_rows_are_marginals(self):
+        # variable (3i + j) * n_gen + m weights the cone generator (1, g_m)
+        # in G_ij; rows 0-8 are sum_j G_ij, rows 9-17 are sum_i G_ij
+        mc = measurement_classicality
+        coords = mc._plane_coords(M0, M1)
+        for p, povm in enumerate((M0, M1)):
+            for k, eff in enumerate(povm.effects):
+                assert coords[p, k, 0] == eff.weight
+                assert np.linalg.norm(coords[p, k, 1:]) == pytest.approx(np.linalg.norm(eff.vec), abs=1e-15)
+        gens = mc._polygon_generators(coords, 8, 1.0, True)
+        n_gen = len(gens)
+        assert n_gen == 8 + 6
+        lp = mc._joint_lp(coords, gens)
+        assert np.array_equal(lp.eq_rhs, coords.reshape(-1))
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            x = rng.uniform(size=9 * n_gen)
+            joint = np.zeros((3, 3, 3))
+            for i in range(3):
+                for j in range(3):
+                    for m in range(n_gen):
+                        joint[i, j] += x[(3 * i + j) * n_gen + m] * np.array([1.0, gens[m, 0], gens[m, 1]])
+            first = [sum(joint[i, j] for j in range(3)) for i in range(3)]
+            second = [sum(joint[i, j] for i in range(3)) for j in range(3)]
+            assert np.allclose(lp.eq_matrix @ x, np.concatenate(first + second), rtol=0, atol=1e-12)
+
     def test_k64_check_pivot_count(self, monkeypatch):
         # 1,885 pivots under Bland's rule alone; Dantzig pricing needs 66
         solutions = []
@@ -287,6 +313,7 @@ class TestCoherenceDetection:
             a = all_effects_collinear(povm)
             b = oracles.commutators_vanish(povm)
             c = common_diagonal_axis(povm) is not None
-            assert a == b == c
+            d = is_free_in_any_basis(povm).free_in_some_basis
+            assert a == b == c == d
             if idx % 2:
                 assert a  # constructed collinear samples must classify as free

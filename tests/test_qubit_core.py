@@ -11,7 +11,6 @@ from trinegame.qubit_core import (
     PauliOperator,
     Povm,
     born_probability,
-    effect_eigenvalues,
     outcome_probabilities,
     povm_from_weighted_projectors,
     projector_effect,
@@ -105,13 +104,13 @@ class TestBornProbability:
 
 class TestEffectEigenvalues:
     def test_two_thirds_projector(self):
-        assert effect_eigenvalues(projector_effect((0, 0, 1), 2 / 3)) == pytest.approx((0.0, 2 / 3))
+        assert projector_effect((0, 0, 1), 2 / 3).eigenvalues() == pytest.approx((0.0, 2 / 3))
 
     def test_isotropic_half(self):
-        assert effect_eigenvalues(Effect(0.5, (0, 0, 0))) == pytest.approx((0.5, 0.5))
+        assert Effect(0.5, (0, 0, 0)).eigenvalues() == pytest.approx((0.5, 0.5))
 
     def test_generic(self):
-        assert effect_eigenvalues(Effect(0.5, (0.25, 0, 0))) == pytest.approx((0.25, 0.75))
+        assert Effect(0.5, (0.25, 0, 0)).eigenvalues() == pytest.approx((0.25, 0.75))
 
 
 class TestValidatePovm:
