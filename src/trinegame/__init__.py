@@ -29,9 +29,11 @@ from .quantum_opt import (
     QUANTUM_OPTIMUM,
     AlphaTriple,
     OptimizationResult,
+    QuantumValue,
     analytic_optimal_strategy,
     optimize_quantum,
     quantum_curve,
+    quantum_value,
     trine_preparation_value,
 )
 from .lp_engine import LinearProgram, LpFamily, LpNumericalError, LpSolution, format_lp, solve

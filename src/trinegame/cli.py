@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -55,6 +56,12 @@ def _record(quantity: str, value: float, reference, tolerance, passed: bool) -> 
     }
 
 
+def _round_up(exact) -> float:
+    """The smallest float not below an exact rational."""
+    value = float(exact)
+    return value if value >= exact else math.nextafter(value, math.inf)
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -86,7 +93,9 @@ def cmd_curve(args) -> int:
 
 def cmd_bounds(args) -> int:
     alpha = AlphaTriple.symmetric(args.alpha0)
-    p_q = quantum_opt.optimize_quantum(alpha, restarts=args.restarts, seed=args.seed).value
+    quantum = quantum_opt.quantum_value(alpha, restarts=args.restarts, seed=args.seed)
+    p_q = quantum.lower
+    p_q_upper = None if quantum.upper is None else _round_up(quantum.upper)
     p_nc = nc_bound.nc_value(alpha)
     p_c, _ = classical_bound.optimize_classical()
 
@@ -100,6 +109,10 @@ def cmd_bounds(args) -> int:
         _record(
             "p_q", p_q, refs[0] if refs else None, tol_q if refs else None,
             abs(p_q - refs[0]) <= tol_q if refs else True,
+        ),
+        _record(
+            "p_q_upper", p_q_upper, p_q, quantum_opt.BRACKET_TOL,
+            p_q_upper is not None and 0.0 <= p_q_upper - p_q <= quantum_opt.BRACKET_TOL,
         ),
         _record(
             "p_nc", p_nc, refs[1] if refs else None, tol_exact if refs else None,
@@ -226,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--include-classical", action="store_true", help="append the constant p_c column")
     p_curve.set_defaults(func=cmd_curve)
 
-    p_bounds = sub.add_parser("bounds", help="p_q, p_nc, p_c at one alpha0")
+    p_bounds = sub.add_parser("bounds", help="p_q with its certified upper bound, p_nc, p_c at one alpha0")
     common(p_bounds)
     p_bounds.add_argument("--restarts", type=int, default=50)
     p_bounds.add_argument("--tol", type=float, default=None)

@@ -1,0 +1,153 @@
+"""Exact upper bound on the quantum value P_Q(alpha): a dual certificate.
+
+With z = (u_0, u_1, u_2, y_0, y_1) and y_2 = -y_0 - y_1 the game is a
+quadratic program whose objective and constraints depend on z only through
+its Gram matrix G = z z^T (``_quadratic_program``).  Its Lagrangian (Shor)
+dual bounds P_Q by every multiplier vector lambda >= 0 whose dual matrix
+sum_i lambda_i C_i - A is positive semidefinite.  ``certify`` fits the KKT
+multipliers at a strategy by least squares, adds ``CERT_EPS`` and tests the
+dual matrix with an exact ``Fraction`` LDL^T, so the bound is rational and
+checked; no SDP solver runs.  At an optimal strategy the bound exceeds its
+value by about 1e-9.
+
+``quantum_opt.quantum_value`` imports this module on first use, so
+``import trinegame`` loads neither it nor ``fractions``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import NamedTuple
+
+import numpy as np
+
+from . import game
+from .game import _SHIFT1, _SHIFT2
+from .quantum_opt import AlphaTriple
+from .qubit_core import INACTIVE_RADIUS
+
+ACTIVE_TOL = 1e-6    # constraint slack below which a multiplier is fitted
+CERT_EPS = 1e-9      # added to every multiplier before the exact test
+
+
+class _QuadraticProgram(NamedTuple):
+    """See ``_quadratic_program``."""
+
+    lift: np.ndarray
+    objective: np.ndarray
+    rows: np.ndarray
+    bounds: np.ndarray
+    constant: Fraction
+
+
+def _quadratic_program(al: np.ndarray) -> _QuadraticProgram:
+    """The game as a quadratic program in z = (u_0, u_1, u_2, w), exactly.
+
+    ``w`` holds the free coordinates of the measurement vectors, y = T w:
+    (y_0, y_1) when every alpha_b is positive, so y_2 = -y_0 - y_1.  An
+    outcome with alpha_b <= INACTIVE_RADIUS, which ``zero_sum_alignment``
+    leaves at y_b = 0, is held at y_b = 0 and one coordinate remains.
+    Fields:
+
+    * ``lift`` (integer) maps z to (u_0, u_1, u_2, y_0, y_1, y_2);
+    * ``objective`` A with <A, z z^T> = sum_b y_b.(u_b - u_{b+1});
+    * constraint i is (rows_i . z)^2 <= bounds_i: |u_x|^2 <= 1,
+      |m_x|^2 <= 1 with m_x = (2/3) sum u - u_{x+2}, |y_b|^2 <= alpha_b^2;
+    * ``constant``: P <= constant + max <A, z z^T> / 12.
+
+    Without held outcomes P = sum(alpha)/6 + <A, z z^T>/12 exactly.
+    Holding y_b at zero is a bound, not a restriction: moving y_b onto the
+    other two outcomes (y_c + y_b/2 each) keeps sum y = 0, grows their radii
+    by alpha_b/2, which the bounds include, and lowers <A, z z^T> by at most
+    (3/2)|y_b||u_b - u_{b+1}| <= 3 alpha_b, which ``constant`` adds.
+    ``objective``, ``rows``, ``bounds`` and ``constant`` are exact
+    ``Fraction`` values.
+    """
+    exact = [Fraction(float(a)) for a in al]
+    held = al <= INACTIVE_RADIUS
+    keep = np.flatnonzero(~held)
+    if keep.size == 3:
+        basis = np.array([[1, 0], [0, 1], [-1, -1]])
+    else:
+        basis = np.zeros((3, 1), dtype=int)
+        basis[keep, 0] = (1, -1)
+    zero = np.zeros((3, 3), dtype=int)
+    lift = np.block([[np.eye(3, dtype=int), zero[:, : basis.shape[1]]], [zero, basis]])
+    diff = np.eye(3, dtype=int) - np.eye(3, dtype=int)[list(_SHIFT1)]  # u_b - u_{b+1}
+    twice_obj = np.block([[zero, diff.T], [diff, zero]])
+    eye = np.eye(6, dtype=int)
+    thrice_m = 2 * eye[:3].sum(axis=0) - 3 * eye[list(_SHIFT2)]
+    full_rows = np.concatenate([eye[:3], thrice_m, eye[3 + keep]]).astype(object)
+    full_rows[3:6] *= Fraction(1, 3)
+    held_weight = sum((exact[b] for b in np.flatnonzero(held)), Fraction(0))
+    bounds = [Fraction(1)] * 6 + [(exact[b] + held_weight / 2) ** 2 for b in keep]
+    return _QuadraticProgram(
+        lift=lift,
+        objective=(lift.T @ twice_obj @ lift).astype(object) * Fraction(1, 2),
+        rows=full_rows @ lift,
+        bounds=np.array(bounds, dtype=object),
+        constant=sum(exact) / 6 + held_weight / 4,
+    )
+
+
+def _gram_coordinates(strategy: game.GameStrategy, lift: np.ndarray) -> np.ndarray:
+    """z of a strategy, one row per block: least squares of lift z = (u; y)."""
+    u = np.stack([strategy.prep(x, 0).bloch for x in range(3)])
+    y = np.stack([2.0 * e.vec for e in strategy.povm.effects])
+    return np.linalg.lstsq(lift.astype(float), np.concatenate([u, y]), rcond=None)[0]
+
+
+def _multipliers(qp: _QuadraticProgram, z: np.ndarray) -> np.ndarray:
+    """KKT multipliers at z: least squares of (sum_i mu_i C_i - A) z = 0,
+    C_i = rows_i rows_i^T, over the constraints active at z; clipped at 0.
+
+    The columns are normalized first: the multiplier of |y_b| <= alpha_b
+    grows like 1/alpha_b while its column shrinks like alpha_b.
+    """
+    rows = qp.rows.astype(float)
+    lengths = np.linalg.norm(rows @ z, axis=1)
+    active = np.flatnonzero(lengths >= np.sqrt(qp.bounds.astype(float)) - ACTIVE_TOL)
+    columns = np.einsum("ij,ik->ijk", rows[active], rows[active] @ z).reshape(len(active), -1).T
+    scale = np.linalg.norm(columns, axis=0)
+    scale[scale == 0.0] = 1.0
+    rhs = (qp.objective.astype(float) @ z).ravel()
+    solution = np.linalg.lstsq(columns / scale, rhs, rcond=None)[0] / scale
+    mu = np.zeros(len(rows))
+    mu[active] = np.maximum(solution, 0.0)
+    return mu
+
+
+def _positive_definite(matrix) -> bool:
+    """Exact LDL^T of a symmetric matrix: True when every pivot is positive."""
+    m = [list(row) for row in matrix]
+    n = len(m)
+    for k in range(n):
+        if m[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            factor = m[i][k] / m[k][k]
+            for j in range(k + 1, n):
+                m[i][j] -= factor * m[k][j]
+    return True
+
+
+def _certified_upper(qp: _QuadraticProgram, mu: np.ndarray) -> Fraction | None:
+    """Exact bound constant + sum_i (mu_i + eps) bounds_i / 12, or None.
+
+    Weak duality: for lambda >= 0 with sum_i lambda_i C_i - A positive
+    semidefinite, <A, G> <= sum_i lambda_i <C_i, G> <= sum_i lambda_i
+    bounds_i on every feasible Gram matrix G, so the bound holds for every
+    strategy.  The matrix is built and tested in ``Fraction`` arithmetic
+    with lambda = mu + eps.
+    """
+    lam = np.array([Fraction(float(m)) for m in mu], dtype=object) + Fraction(CERT_EPS)
+    if not _positive_definite((qp.rows.T * lam) @ qp.rows - qp.objective):
+        return None
+    return qp.constant + lam @ qp.bounds / 12
+
+
+def certify(alpha, strategy: game.GameStrategy) -> Fraction | None:
+    """Exact upper bound on P_Q(alpha) from the KKT multipliers of
+    ``strategy``, or None when they do not give a dual certificate."""
+    qp = _quadratic_program(AlphaTriple(tuple(alpha)).as_array())
+    return _certified_upper(qp, _multipliers(qp, _gram_coordinates(strategy, qp.lift)))

@@ -1,13 +1,21 @@
-"""Maximum quantum success probability of the game.
+"""Quantum value P_Q(alpha) of the game, bracketed by a strategy and an
+exact dual certificate.
 
-Closed-form optimal strategy: trine preparations for a=0 (Bloch angles
-2 pi x / 3 in the xz plane), antipodal derived a=1 states, and measurement
-directions proportional to the differences of consecutive preparation
-observables, v_b = (a_b - a_{b+1 mod 3}) / sqrt(3), with all outcome
-weights 2/3.  That reaches (1/3)(1 + sqrt(3)/2).
+Lower bound: an explicit strategy, evaluated by ``game.success_probability``.
+The trine-pinned strategy puts the a=0 preparations at Bloch angles
+2 pi x / 3 in the xz plane (the derived a=1 states are antipodal) and
+measures with the best POVM for them, which ``qubit_core.zero_sum_alignment``
+finds exactly.  At alpha = (2/3, 2/3, 2/3) its measurement directions are
+v_b = (a_b - a_{b+1 mod 3}) / sqrt(3) and it reaches (1/3)(1 + sqrt(3)/2).
+It is optimal on most of the weight triangle but not everywhere: on the
+slice alpha_1 = alpha_2 the restart search beats it near alpha0 = 0.92.
 
-For arbitrary outcome weights the optimizer alternates two convex
-subproblems over random restarts:
+Upper bound: an exact dual certificate from ``quantum_bound.certify``.
+``quantum_value`` certifies the trine strategy and runs the restart search
+only when upper - lower exceeds ``BRACKET_TOL``.
+
+The restart search ``optimize_quantum`` alternates two convex subproblems
+over random restarts:
 
 * measurement step: the effect of outcome b is (alpha_b I + y_b.sigma)/2,
   and completeness with positivity reads sum_b y_b = 0, |y_b| <= alpha_b.
@@ -28,6 +36,7 @@ monotone in the restart count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -37,13 +46,16 @@ from .qubit_core import (
     DensityState,
     Effect,
     Povm,
-    povm_from_weighted_projectors,
     xz_direction,
     zero_sum_alignment,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction  # quantum_bound imports it on first use
+
 QUANTUM_OPTIMUM = (1.0 + np.sqrt(3.0) / 2.0) / 3.0
 MAX_ROUNDS = 1500
+BRACKET_TOL = 1e-8   # widest upper - lower accepted from the trine strategy
 
 
 def splitmix64(value: int) -> int:
@@ -89,8 +101,16 @@ class AlphaTriple:
         return np.array(self.alpha)
 
 
-@dataclass(frozen=True, eq=False)
-class OptimizationResult:
+class OptimizationResult(NamedTuple):
+    """Best strategy of the restart search.
+
+    ``converged`` means the stop rule's test held for the returned restart:
+    its gain over the last check interval was below ``tol``.  It says the
+    search stalled, not that the value is optimal; it can be True below a
+    known feasible value.  Optimality is what an upper bound from
+    ``quantum_bound.certify`` shows.
+    """
+
     value: float
     strategy: game.GameStrategy
     restarts_used: int
@@ -104,13 +124,7 @@ def _as_alpha(alpha) -> AlphaTriple:
 
 def analytic_optimal_strategy() -> game.GameStrategy:
     """The closed-form optimal strategy; success = (1/3)(1 + sqrt(3)/2)."""
-    a_dirs = np.stack([xz_direction(2.0 * np.pi * x / 3.0) for x in range(3)])
-    first = tuple(DensityState(a_dirs[x]) for x in range(3))
-    preps = game.complete_preparations(first)
-    diffs = a_dirs - a_dirs[_SHIFT1, :]
-    v_dirs = diffs / np.linalg.norm(diffs, axis=1, keepdims=True)
-    povm = povm_from_weighted_projectors((2.0 / 3.0,) * 3, v_dirs)
-    return game.GameStrategy(preps, povm)
+    return _trine_strategy(AlphaTriple((2.0 / 3.0,) * 3))
 
 
 def _pair_sums(u: np.ndarray) -> np.ndarray:
@@ -170,10 +184,7 @@ def optimize_quantum(
     finals = _objective(u, y)
     best = int(np.flatnonzero(finals >= finals.max() - 1e-12)[0])
 
-    first = tuple(DensityState(u[best, x]) for x in range(3))
-    preps = game.complete_preparations(first)
-    povm = Povm(tuple(Effect(al[b] / 2.0, y[best, b] / 2.0) for b in range(3)), alphas=tuple(al))
-    strategy = game.GameStrategy(preps, povm)
+    strategy = _strategy(u[best], y[best], al)
     value = game.success_probability(strategy)
     return OptimizationResult(
         value=value,
@@ -184,24 +195,67 @@ def optimize_quantum(
     )
 
 
-def trine_preparation_value(alpha) -> float:
-    """Exact game value when the a=0 preparations are pinned to the trine.
+def _strategy(u: np.ndarray, y: np.ndarray, al: np.ndarray) -> game.GameStrategy:
+    """Six preparations from the a=0 Bloch vectors u and the POVM with
+    effects (alpha_b I + y_b.sigma) / 2."""
+    preps = game.complete_preparations(tuple(DensityState(u[x]) for x in range(3)))
+    povm = Povm(tuple(Effect(al[b] / 2.0, y[b] / 2.0) for b in range(3)), alphas=tuple(al))
+    return game.GameStrategy(preps, povm)
 
-    The remaining measurement subproblem is convex and solved exactly, so
-    this is a closed-form point of comparison for the full optimizer.
+
+def _trine_strategy(alpha: AlphaTriple) -> game.GameStrategy:
+    """Trine a=0 preparations with the best measurement for them.
+
+    With the preparations pinned, the measurement subproblem is convex and
+    ``zero_sum_alignment`` solves it exactly.
     """
-    al = _as_alpha(alpha).as_array()
+    al = alpha.as_array()
     a_dirs = np.stack([xz_direction(2.0 * np.pi * x / 3.0) for x in range(3)])
-    c = _pair_sums(a_dirs[None, :, :])
-    y, _ = zero_sum_alignment(c, al, np.zeros((1, 3)))
-    return float(_objective(a_dirs[None, :, :], y)[0])
+    y, _ = zero_sum_alignment(_pair_sums(a_dirs[None, :, :]), al, np.zeros((1, 3)))
+    return _strategy(a_dirs, y[0], al)
+
+
+def trine_preparation_value(alpha) -> float:
+    """Game value of the trine-pinned strategy: a lower bound on P_Q."""
+    return game.success_probability(_trine_strategy(_as_alpha(alpha)))
+
+
+class QuantumValue(NamedTuple):
+    """Bracket lower <= P_Q(alpha) <= upper.
+
+    ``lower`` is ``success_probability(strategy)``; ``upper`` is an exact
+    ``Fraction`` from a dual certificate, or None when none was found;
+    ``source`` is "trine" or "search" (``optimize_quantum``).
+    """
+
+    strategy: game.GameStrategy
+    lower: float
+    upper: Fraction | None
+    source: str
+
+
+def quantum_value(alpha, restarts: int = 50, seed: int = 0) -> QuantumValue:
+    """The trine-pinned strategy when its certificate closes the bracket to
+    ``BRACKET_TOL``; otherwise the restart search's strategy.  ``upper`` is
+    the smallest bound certified on the way."""
+    from .quantum_bound import certify  # first use; keeps ``import trinegame`` light
+
+    alpha_t = _as_alpha(alpha)
+    strategy = _trine_strategy(alpha_t)
+    lower = game.success_probability(strategy)
+    upper = certify(alpha_t, strategy)
+    if upper is not None and upper - lower <= BRACKET_TOL:
+        return QuantumValue(strategy, lower, upper, "trine")
+    result = optimize_quantum(alpha_t, restarts=restarts, seed=seed)
+    bounds = [b for b in (upper, certify(alpha_t, result.strategy)) if b is not None]
+    return QuantumValue(result.strategy, result.value, min(bounds, default=None), "search")
 
 
 def quantum_curve(grid, restarts: int = 50, seed: int = 0) -> list[tuple[float, float]]:
-    """(alpha0, P_Q) along the slice alpha_1 = alpha_2 = (2 - alpha0)/2."""
+    """(alpha0, P_Q lower bound) along the slice alpha_1 = alpha_2 = (2 - alpha0)/2."""
     points = []
     for idx, alpha0 in enumerate(grid):
         alpha = AlphaTriple.symmetric(float(alpha0))
-        result = optimize_quantum(alpha, restarts=restarts, seed=derive_seed(seed, idx))
-        points.append((float(alpha0), result.value))
+        value = quantum_value(alpha, restarts=restarts, seed=derive_seed(seed, idx))
+        points.append((float(alpha0), value.lower))
     return points

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+INACTIVE_RADIUS = 1e-12  # zero_sum_alignment holds y_b = 0 for radii up to this
 
 
 class InvalidStateError(ValueError):
@@ -251,7 +252,7 @@ def zero_sum_alignment(c, r, lam=None, iters: int = 400) -> tuple[np.ndarray, np
     """
     c = np.asarray(c, dtype=float)
     r = np.asarray(r, dtype=float)
-    idx = np.flatnonzero(r > 1e-12)
+    idx = np.flatnonzero(r > INACTIVE_RADIUS)
     ca, ra = c[:, idx, :], r[idx]
     if lam is None:
         lam = (ra[None, :, None] * ca).sum(axis=1) / max(ra.sum(), 1e-300)

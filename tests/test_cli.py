@@ -71,6 +71,16 @@ class TestBounds:
             assert set(record) == {"quantity", "value", "reference_value", "tolerance", "pass"}
 
 
+    @pytest.mark.parametrize("alpha0", ["0", "0.925"])
+    def test_upper_record_brackets_p_q(self, tmp_path, alpha0):
+        code, data = run(["bounds", "--alpha0", alpha0], tmp_path, "bounds.json")
+        assert code == 0
+        records = {r["quantity"]: r for r in json.loads(data)["results"]}
+        p_q, upper = records["p_q"]["value"], records["p_q_upper"]["value"]
+        assert records["p_q_upper"]["pass"]
+        assert p_q <= upper <= p_q + 1e-8
+
+
 class TestSimulate:
     def test_five_outcome_report(self, tmp_path):
         code, data = run(["simulate", "5"], tmp_path, "sim.json")

@@ -1,23 +1,30 @@
-"""Closed-form optimum and the alternating optimizer."""
+"""Closed-form optimum, the alternating optimizer and the certified bracket."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from trinegame import quantum_opt
+from trinegame.cli import _parse_grid
 from trinegame.game import (
     check_parity_concealment,
     derived_second_blochs,
     random_feasible_first_blochs,
     success_probability,
 )
+from trinegame.quantum_bound import certify
 from trinegame.qubit_core import validate_povm
 from trinegame.quantum_opt import (
+    BRACKET_TOL,
     QUANTUM_OPTIMUM,
     AlphaTriple,
     analytic_optimal_strategy,
     derive_seed,
     optimize_quantum,
     quantum_curve,
+    quantum_value,
     splitmix64,
     trine_preparation_value,
 )
@@ -25,6 +32,10 @@ from trinegame.quantum_opt import (
 # Outcome weights at which the optimizer once returned POVMs with a
 # completeness residual of about 6e-6 for most restart seeds.
 CRASH_TRIPLE = (0.16065200877512686, 0.9699254132161326, 0.8694225780087406)
+
+
+def _bracket(value):
+    return value.upper - Fraction(value.lower)
 
 
 def _assert_certified(res):
@@ -126,6 +137,50 @@ class TestWholeTriangle:
         _assert_certified(optimize_quantum((1.0 - lo, 1.0 - hi + lo, hi), restarts=3, seed=seed))
 
 
+class TestQuantumValue:
+    @pytest.mark.parametrize("alpha0", [0.92, 0.925])
+    def test_search_replaces_trine_in_window(self, alpha0):
+        alpha = AlphaTriple.symmetric(alpha0)
+        trine = quantum_opt._trine_strategy(alpha)
+        trine_value = success_probability(trine)
+        trine_upper = certify(alpha, trine)
+        assert trine_upper is None or trine_upper - Fraction(trine_value) > BRACKET_TOL
+        value = quantum_value(alpha)
+        assert value.source == "search"
+        assert 0 <= _bracket(value) <= BRACKET_TOL
+        if alpha0 == 0.925:
+            assert value.lower >= trine_value + 1e-6
+
+    def test_trine_bound_covers_better_search_at_window_edge(self):
+        # At alpha0 = 0.915 the search beats the trine by a few 1e-9, within
+        # the trine's certified bracket.
+        alpha = AlphaTriple.symmetric(0.915)
+        value = quantum_value(alpha)
+        search = optimize_quantum(alpha)
+        assert value.source == "trine"
+        assert value.lower < search.value <= value.upper
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @example(0.0, 0.0)
+    @example(0.0, 1.0)
+    @example(1.0, 1.0)
+    def test_every_weight_triple_is_bracketed(self, u, v):
+        lo, hi = sorted((u, v))
+        alpha = (1.0 - lo, 1.0 - hi + lo, hi)
+        value = quantum_value(alpha)
+        assert isinstance(value.upper, Fraction)
+        assert 0 <= _bracket(value) <= BRACKET_TOL
+        assert success_probability(value.strategy) == value.lower
+        assert check_parity_concealment(value.strategy.preps).passed
+
+    def test_default_curve_grid_is_bracketed(self):
+        for idx, alpha0 in enumerate(_parse_grid("0:1:0.01")):
+            value = quantum_value(AlphaTriple.symmetric(alpha0), seed=derive_seed(0, idx))
+            assert value.upper is not None
+            assert 0 <= _bracket(value) <= BRACKET_TOL, alpha0
+
+
 class TestCurve:
     def test_single_point_symmetric(self):
         ((a0, val),) = quantum_curve([2 / 3], restarts=12, seed=0)
@@ -145,6 +200,12 @@ class TestTrinePinnedValue:
     def test_matches_full_optimum_at_anchors(self):
         for alpha, ref in (((2 / 3,) * 3, QUANTUM_OPTIMUM), ((1, 0.5, 0.5), 7 / 12), ((0, 1, 1), 7 / 12)):
             assert trine_preparation_value(alpha) == pytest.approx(ref, abs=1e-9)
+
+    def test_is_the_value_of_the_certified_trine_strategy(self):
+        for alpha0 in (0.0, 0.5, 2 / 3, 1.0):
+            value = quantum_value(AlphaTriple.symmetric(alpha0))
+            assert value.source == "trine"
+            assert value.lower == trine_preparation_value(AlphaTriple.symmetric(alpha0))
 
     def test_pinned_preparations_match_full_optimum_on_slice(self):
         # freeing the preparations does not beat the trine on this slice
