@@ -7,7 +7,8 @@ all checks pass, 1 on a failed check or an invalid value or file, 2 on usage
 errors, 3 when a linear program fails numerically (the simplex iteration
 limit, or an optimal point that misses its constraints); codes 1 and 3
 print a one-line ``error:`` message on stderr.  Identical command, flags
-and seed produce byte-identical output.
+and seed produce byte-identical output; only ``simulate`` and ``coherence``
+draw random samples from ``--seed``.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def cmd_curve(args) -> int:
     grid = args.grid if args.alpha0 is None else [args.alpha0]
     header = "alpha0,p_q,p_nc" + (",p_c" if args.include_classical else "")
     lines = [header]
-    quantum = quantum_opt.quantum_curve(grid, restarts=args.restarts, seed=args.seed)
+    quantum = quantum_opt.quantum_curve(grid)
     for (alpha0, p_q), (_, p_nc) in zip(quantum, nc_bound.nc_curve(grid)):
         row = f"{alpha0:.6f},{p_q:.6f},{p_nc:.6f}"
         if args.include_classical:
@@ -93,7 +94,7 @@ def cmd_curve(args) -> int:
 
 def cmd_bounds(args) -> int:
     alpha = AlphaTriple.symmetric(args.alpha0)
-    quantum = quantum_opt.quantum_value(alpha, restarts=args.restarts, seed=args.seed)
+    quantum = quantum_opt.quantum_value(alpha)
     p_q = quantum.lower
     p_q_upper = None if quantum.upper is None else _round_up(quantum.upper)
     p_nc = nc_bound.nc_value(alpha)
@@ -146,9 +147,7 @@ def cmd_simulate(args) -> int:
 def cmd_incompat(args) -> int:
     sim = povm_simulation.simulator_set(5)
     ensemble = mc.carmeli_ensemble()
-    report = mc.guessing_report(
-        ensemble, sim.members[0].povm, sim.members[1].povm, seed=args.seed
-    )
+    report = mc.guessing_report(ensemble, sim.members[0].povm, sim.members[1].povm)
     dual_margin = report.dual_feasibility_margin(ensemble)
 
     incompatible_pairs = 0
@@ -228,12 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0, help="random seed; only simulate and coherence read it")
         p.add_argument("--out", type=str, default=None)
 
     p_curve = sub.add_parser("curve", help="CSV of (alpha0, p_q, p_nc) along alpha1 = alpha2")
     common(p_curve)
-    p_curve.add_argument("--restarts", type=int, default=50)
     p_curve.add_argument("--grid", type=_parse_grid, default="0:1:0.01", help="alpha0 grid start:stop:step")
     p_curve.add_argument("--alpha0", type=float, default=None, help="single point instead of a grid")
     p_curve.add_argument("--include-classical", action="store_true", help="append the constant p_c column")
@@ -241,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="p_q with its certified upper bound, p_nc, p_c at one alpha0")
     common(p_bounds)
-    p_bounds.add_argument("--restarts", type=int, default=50)
     p_bounds.add_argument("--tol", type=float, default=None)
     p_bounds.add_argument("--alpha0", type=float, default=2.0 / 3.0)
     p_bounds.set_defaults(func=cmd_bounds)

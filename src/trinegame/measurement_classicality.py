@@ -8,10 +8,9 @@ Four independent certificates live here:
   six-state ensemble succeeds strictly better when the partition label
   arrives before the measurement than after it, and the post-measurement
   optimum has an exact dual certificate (a minimum enclosing ball in Bloch
-  coordinates), so a positive gap is rigorous; the explicit strategies
-  behind the lower bound alternate guessing assignments with the exact
-  measurement update ``qubit_core.zero_sum_alignment``, the solver the
-  quantum optimizer uses;
+  coordinates), so a positive gap is rigorous; the explicit witness POVM
+  behind the lower bound is built on the ball's contact points and meets
+  the dual optimum exactly;
 * direct joint-measurability feasibility for coplanar POVM pairs, with the
   positivity cone replaced by inscribed (feasible => compatible) and
   circumscribed (infeasible => incompatible) polygon cones, both plain LPs;
@@ -25,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,14 +35,10 @@ from .qubit_core import (
     PauliOperator,
     Povm,
     born_probability,
-    projector_effect,
-    validate_povm,
     xz_direction,
-    zero_sum_alignment,
 )
 
 TWO_FIFTHS_PI = 2.0 * np.pi / 5.0
-GUESS_RESTARTS = 12  # random starts of the guessing-strategy ascent
 
 
 class CoplanarityError(ValueError):
@@ -134,8 +130,9 @@ def prior_guess(ensemble: PartitionedEnsemble, m_first: Povm, m_second: Povm) ->
 # minimum enclosing ball (exact dual of the post-measurement problem)
 
 
-def _circumcenter(points: np.ndarray) -> np.ndarray | None:
-    """Center equidistant from k affinely independent points (k = 2, 3, 4)."""
+def _circumcenter(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Center equidistant from k affinely independent points (k = 3, 4) and
+    its barycentric weights t: center = t @ points with sum t = 1."""
     base = points[0]
     rel = points[1:] - base
     gram = rel @ rel.T
@@ -144,36 +141,49 @@ def _circumcenter(points: np.ndarray) -> np.ndarray | None:
     if abs(det) < 1e-18:
         return None
     coeffs = np.linalg.solve(gram, rhs)
-    return base + coeffs @ rel
+    return base + coeffs @ rel, np.concatenate(([1.0 - coeffs.sum()], coeffs))
 
 
-def min_enclosing_ball(points: np.ndarray) -> tuple[np.ndarray, float]:
+class EnclosingBall(NamedTuple):
+    """Ball of the given center and radius; its center is the convex
+    combination ``weights`` (>= 0, summing to 1) of the points ``support``,
+    which lie on its boundary."""
+
+    center: np.ndarray
+    radius: float
+    support: tuple
+    weights: np.ndarray
+
+
+def min_enclosing_ball(points: np.ndarray) -> EnclosingBall:
     """Exact smallest enclosing ball by support-set enumeration.
 
-    The optimal ball is determined by at most four points on its boundary;
-    all pairs, triples and quadruples are tried (point counts here are <= 9).
+    The optimal center is a convex combination of at most four points on
+    the ball's boundary; all pairs, triples and quadruples are tried (point
+    counts here are <= 9), and a candidate counts only when its center lies
+    in the convex hull of its points.
     """
     pts = np.asarray(points, dtype=float)
     k = len(pts)
     if k == 0:
         raise ValueError("no points")
     if k == 1:
-        return pts[0].copy(), 0.0
-    best_center, best_r = None, np.inf
+        return EnclosingBall(pts[0].copy(), 0.0, (0,), np.ones(1))
+    best = EnclosingBall(None, np.inf, (), np.zeros(0))
     for size in (2, 3, 4):
         for idx in combinations(range(k), size):
             sub = pts[list(idx)]
             if size == 2:
-                center = 0.5 * (sub[0] + sub[1])
+                center, weights = 0.5 * (sub[0] + sub[1]), np.full(2, 0.5)
             else:
-                center = _circumcenter(sub)
-                if center is None:
+                found = _circumcenter(sub)
+                if found is None:
                     continue
+                center, weights = found
             r = float(np.max(np.linalg.norm(pts - center, axis=1)))
-            if r < best_r - 1e-15:
-                best_r = r
-                best_center = center
-    return best_center, best_r
+            if r < best.radius - 1e-15 and weights.min() >= -1e-12:
+                best = EnclosingBall(center, r, idx, weights)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -200,108 +210,45 @@ class GuessingReport:
         return float(worst)
 
 
-def _strategy_value(ensemble: PartitionedEnsemble, povm: Povm, assignment) -> float:
-    total = 0.0
-    for z, eff in enumerate(povm.effects):
-        i, j = assignment[z]
-        total += born_probability(ensemble.part0[i], eff)
-        total += born_probability(ensemble.part1[j], eff)
-    return total / 6.0
-
-
-def _best_assignment(ensemble: PartitionedEnsemble, weights, y) -> list[tuple[int, int]]:
-    assignment = []
-    for z in range(len(weights)):
-        eff = Effect(weights[z] / 2.0, y[z] / 2.0)
-        pi = [born_probability(s, eff) for s in ensemble.part0]
-        pj = [born_probability(s, eff) for s in ensemble.part1]
-        assignment.append((int(np.argmax(pi)), int(np.argmax(pj))))
-    return assignment
-
-
-def _ascend_strategy(ensemble: PartitionedEnsemble, weights: np.ndarray, y: np.ndarray):
-    """Alternate argmax guessing assignments with the exact measurement update."""
-    pair_ops = ensemble.pair_operators()
-    pair_vecs = np.array([op.vec for op in pair_ops]).reshape(3, 3, 3)
-    assignment = _best_assignment(ensemble, weights, y)
-    value = -np.inf
-    for _ in range(60):
-        targets = np.stack([pair_vecs[i, j] for (i, j) in assignment])
-        y = zero_sum_alignment(targets[None], weights)[0][0]
-        assignment = _best_assignment(ensemble, weights, y)
-        povm = Povm(tuple(Effect(weights[z] / 2.0, y[z] / 2.0) for z in range(len(weights))))
-        new_value = _strategy_value(ensemble, povm, assignment)
-        if new_value <= value + 1e-13:
-            return new_value, povm, tuple(assignment)
-        value = new_value
-    return value, povm, tuple(assignment)
-
-
-def _post_measurement_dual(ensemble: PartitionedEnsemble):
-    """(pair Bloch parts, ball center, ball radius R, upper bound 2(1/6 + R)).
+def _post_measurement_dual(ensemble: PartitionedEnsemble) -> tuple[np.ndarray, EnclosingBall, float]:
+    """(pair Bloch parts, their minimum enclosing ball, upper bound 2(1/6 + R)).
 
     min Tr[Y] over Y >= W_ij for all nine pair operators: every W_ij has
     identity coefficient 1/6, so the optimal Y is 1/6 + R plus the center of
     the minimum enclosing ball of the W Bloch parts, an exact dual optimum.
     """
     pts = np.array([op.vec for op in ensemble.pair_operators()])
-    center, radius = min_enclosing_ball(pts)
-    return pts, center, radius, 2.0 * (1.0 / 6.0 + radius)
+    ball = min_enclosing_ball(pts)
+    return pts, ball, 2.0 * (1.0 / 6.0 + ball.radius)
 
 
-def post_guess_bounds(
-    ensemble: PartitionedEnsemble, seed: int = 7
-) -> tuple[float, float, PauliOperator, Povm, tuple]:
+def post_guess_bounds(ensemble: PartitionedEnsemble) -> tuple[float, float, PauliOperator, Povm, tuple]:
     """(p_post_lower, p_post_upper, dual certificate, witness POVM, assignment).
 
-    Upper bound: the exact dual optimum of ``_post_measurement_dual``, not
-    an estimate.  Lower bound: the best explicit strategy found by
-    GUESS_RESTARTS random-restart ascents over Bloch-parametrized POVMs,
-    evaluated directly; structured starts include the dual ball's diameter
-    direction and the z basis.
+    Upper bound: the exact dual optimum of ``_post_measurement_dual``.
+    Lower bound: the value of an explicit witness built on the ball's
+    support.  Support point z is the Bloch part p_z of the pair operator
+    W_ij, at unit direction n_z from the center and with barycentric weight
+    t_z, so that t >= 0, sum t = 1 and sum t_z n_z = 0; the effect
+    t_z (I + n_z.sigma) guesses the pair (i, j).  Its value is
+    sum_z Tr[E_z W_z] = 2 sum_z t_z (1/6 + n_z.p_z) = 2 (1/6 + R), so the
+    two bounds meet (complementary slackness).
     """
-    pts, center, radius, upper = _post_measurement_dual(ensemble)
-    certificate = PauliOperator(1.0 / 6.0 + radius, center)
-
-    # contact points of the ball give the best two-outcome direction
-    dists = np.linalg.norm(pts - center, axis=1)
-    contacts = pts[dists >= radius - 1e-9]
-    starts = []
-    if len(contacts) >= 2:
-        d = contacts[0] - contacts[-1]
-        if np.linalg.norm(d) > 1e-12:
-            starts.append((np.array([1.0, 1.0]), np.stack([d, -d]) / np.linalg.norm(d)))
-    starts.append((np.array([1.0, 1.0]), np.stack([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])))
-
-    rng = np.random.default_rng(seed)
-    weight_menu = [
-        np.array([1.0, 1.0]),
-        np.full(3, 2.0 / 3.0),
-        np.array([1.0, 0.5, 0.5]),
-        np.full(4, 0.5),
-    ]
-    for t in range(GUESS_RESTARTS):
-        weights = weight_menu[t % len(weight_menu)]
-        vecs = rng.normal(size=(len(weights), 3))
-        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        starts.append((weights, vecs))
-
-    best = (-np.inf, None, None)
-    for weights, vecs in starts:
-        y = zero_sum_alignment((vecs * weights[:, None])[None], weights)[0][0]
-        value, povm, assignment = _ascend_strategy(ensemble, weights, y)
-        if value > best[0]:
-            best = (value, povm, assignment)
-    return best[0], upper, certificate, best[1], best[2]
+    pts, ball, upper = _post_measurement_dual(ensemble)
+    certificate = PauliOperator(1.0 / 6.0 + ball.radius, ball.center)
+    # all nine points coincide when R = 0; the units are then zero and the effects t_z I
+    units = (pts[list(ball.support)] - ball.center) / max(ball.radius, 1e-300)
+    povm = Povm(tuple(Effect(t, t * n) for t, n in zip(ball.weights, units)))
+    assignment = tuple(divmod(z, 3) for z in ball.support)  # pair z = 3 i + j
+    lower = sum(
+        born_probability(ensemble.part0[i], eff) + born_probability(ensemble.part1[j], eff)
+        for eff, (i, j) in zip(povm.effects, assignment)
+    ) / 6.0
+    return lower, upper, certificate, povm, assignment
 
 
-def guessing_report(
-    ensemble: PartitionedEnsemble,
-    m_first: Povm,
-    m_second: Povm,
-    seed: int = 7,
-) -> GuessingReport:
-    lower, upper, certificate, povm, assignment = post_guess_bounds(ensemble, seed)
+def guessing_report(ensemble: PartitionedEnsemble, m_first: Povm, m_second: Povm) -> GuessingReport:
+    lower, upper, certificate, povm, assignment = post_guess_bounds(ensemble)
     prior = prior_guess(ensemble, m_first, m_second)
     return GuessingReport(
         p_prior=prior,
@@ -317,7 +264,7 @@ def guessing_report(
 def incompatibility_witness(m_first: Povm, m_second: Povm, ensemble: PartitionedEnsemble) -> float:
     """prior_guess minus the certified post-measurement optimum; a positive
     margin proves the pair incompatible."""
-    upper = _post_measurement_dual(ensemble)[3]
+    upper = _post_measurement_dual(ensemble)[2]
     return prior_guess(ensemble, m_first, m_second) - upper
 
 

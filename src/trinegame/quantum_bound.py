@@ -24,10 +24,10 @@ import numpy as np
 from . import game
 from .game import _SHIFT1, _SHIFT2
 from .quantum_opt import AlphaTriple
-from .qubit_core import INACTIVE_RADIUS
 
 ACTIVE_TOL = 1e-6    # constraint slack below which a multiplier is fitted
 CERT_EPS = 1e-9      # added to every multiplier before the exact test
+INACTIVE_RADIUS = 1e-12  # outcomes with alpha_b up to this are held at y_b = 0
 
 
 class _QuadraticProgram(NamedTuple):
@@ -45,8 +45,8 @@ def _quadratic_program(al: np.ndarray) -> _QuadraticProgram:
 
     ``w`` holds the free coordinates of the measurement vectors, y = T w:
     (y_0, y_1) when every alpha_b is positive, so y_2 = -y_0 - y_1.  An
-    outcome with alpha_b <= INACTIVE_RADIUS, which ``zero_sum_alignment``
-    leaves at y_b = 0, is held at y_b = 0 and one coordinate remains.
+    outcome with alpha_b <= INACTIVE_RADIUS is held at y_b = 0 and one
+    coordinate remains.
     Fields:
 
     * ``lift`` (integer) maps z to (u_0, u_1, u_2, y_0, y_1, y_2);

@@ -1,28 +1,25 @@
 """Quantum value P_Q(alpha) of the game, bracketed by a strategy and an
 exact dual certificate.
 
-Lower bound: an explicit strategy, evaluated by ``game.success_probability``.
-The trine-pinned strategy puts the a=0 preparations at Bloch angles
+Lower bound: the trine-pinned strategy, evaluated by
+``game.success_probability``.  It puts the a=0 preparations at Bloch angles
 2 pi x / 3 in the xz plane (the derived a=1 states are antipodal) and
-measures with the best POVM for them, which ``qubit_core.zero_sum_alignment``
-finds exactly.  At alpha = (2/3, 2/3, 2/3) its measurement directions are
-v_b = (a_b - a_{b+1 mod 3}) / sqrt(3) and it reaches (1/3)(1 + sqrt(3)/2).
-It is optimal on most of the weight triangle but not everywhere: on the
-slice alpha_1 = alpha_2 the restart search beats it near alpha0 = 0.92.
+measures with the best POVM for them, which the closed-form
+``qubit_core.zero_sum_alignment`` gives exactly.  At alpha = (2/3, 2/3, 2/3)
+its measurement directions are v_b = (a_b - a_{b+1 mod 3}) / sqrt(3) and it
+reaches (1/3)(1 + sqrt(3)/2).
 
 Upper bound: an exact dual certificate from ``quantum_bound.certify``.
-``quantum_value`` certifies the trine strategy and runs the restart search
-only when upper - lower exceeds ``BRACKET_TOL``.
+``quantum_value`` returns both; ``bounds`` checks that they lie within
+``BRACKET_TOL`` of each other.
 
-The restart search ``optimize_quantum`` alternates two convex subproblems
-over random restarts:
+``optimize_quantum`` is a restart search over all strategies that
+alternates two convex subproblems:
 
 * measurement step: the effect of outcome b is (alpha_b I + y_b.sigma)/2,
   and completeness with positivity reads sum_b y_b = 0, |y_b| <= alpha_b.
   Maximizing sum_b y_b.c_b over that set is
-  ``qubit_core.zero_sum_alignment`` with radii alpha, warm-started from
-  the previous round's multiplier; its output is feasible up to rounding,
-  so the effects pass the 1e-9 POVM tolerance as they stand.
+  ``qubit_core.zero_sum_alignment`` with radii alpha;
 * preparation step: projected gradient ascent on the three free a=0 Bloch
   vectors; the derived a=1 states stay positive because iterates are kept
   inside the feasible set (Dykstra projection onto the two rotated
@@ -55,7 +52,7 @@ if TYPE_CHECKING:
 
 QUANTUM_OPTIMUM = (1.0 + np.sqrt(3.0) / 2.0) / 3.0
 MAX_ROUNDS = 1500
-BRACKET_TOL = 1e-8   # widest upper - lower accepted from the trine strategy
+BRACKET_TOL = 1e-8   # widest upper - lower that ``bounds`` accepts
 
 
 def splitmix64(value: int) -> int:
@@ -155,7 +152,7 @@ def optimize_quantum(
         starts[r_idx] = rng.uniform(-1.0, 1.0, size=(3, 3))
     u = game.shrink_to_feasible(game.project_free_blochs(starts, iters=50))
 
-    y, lam = zero_sum_alignment(_pair_sums(u), al, np.zeros((restarts, 3)), iters=25)
+    y = zero_sum_alignment(_pair_sums(u), al)
     values = _objective(u, y)
     gains = np.full(restarts, np.inf)
     check_every = 16
@@ -166,7 +163,7 @@ def optimize_quantum(
         eta = max(0.5 * 0.985**it, 1e-5)
         step = np.where(hn > 1e-14, eta / np.maximum(hn, 1e-14), 0.0)
         u = game.project_free_blochs(u + step[:, None, None] * h, iters=10)
-        y, lam = zero_sum_alignment(_pair_sums(u), al, lam, iters=12)
+        y = zero_sum_alignment(_pair_sums(u), al)
         if (it + 1) % check_every == 0:
             new_values = _objective(u, y)
             gains = new_values - values
@@ -180,7 +177,7 @@ def optimize_quantum(
 
     # exact feasibility, then exact evaluation of every restart
     u = game.shrink_to_feasible(game.project_free_blochs(u, iters=60))
-    y, lam = zero_sum_alignment(_pair_sums(u), al, lam, iters=150)
+    y = zero_sum_alignment(_pair_sums(u), al)
     finals = _objective(u, y)
     best = int(np.flatnonzero(finals >= finals.max() - 1e-12)[0])
 
@@ -211,7 +208,7 @@ def _trine_strategy(alpha: AlphaTriple) -> game.GameStrategy:
     """
     al = alpha.as_array()
     a_dirs = np.stack([xz_direction(2.0 * np.pi * x / 3.0) for x in range(3)])
-    y, _ = zero_sum_alignment(_pair_sums(a_dirs[None, :, :]), al, np.zeros((1, 3)))
+    y = zero_sum_alignment(_pair_sums(a_dirs[None, :, :]), al)
     return _strategy(a_dirs, y[0], al)
 
 
@@ -223,39 +220,25 @@ def trine_preparation_value(alpha) -> float:
 class QuantumValue(NamedTuple):
     """Bracket lower <= P_Q(alpha) <= upper.
 
-    ``lower`` is ``success_probability(strategy)``; ``upper`` is an exact
-    ``Fraction`` from a dual certificate, or None when none was found;
-    ``source`` is "trine" or "search" (``optimize_quantum``).
+    ``lower`` is ``success_probability(strategy)`` of the trine-pinned
+    strategy; ``upper`` is an exact ``Fraction`` from a dual certificate,
+    or None when none was found.
     """
 
     strategy: game.GameStrategy
     lower: float
     upper: Fraction | None
-    source: str
 
 
-def quantum_value(alpha, restarts: int = 50, seed: int = 0) -> QuantumValue:
-    """The trine-pinned strategy when its certificate closes the bracket to
-    ``BRACKET_TOL``; otherwise the restart search's strategy.  ``upper`` is
-    the smallest bound certified on the way."""
+def quantum_value(alpha) -> QuantumValue:
+    """The trine-pinned strategy and its certified upper bound."""
     from .quantum_bound import certify  # first use; keeps ``import trinegame`` light
 
     alpha_t = _as_alpha(alpha)
     strategy = _trine_strategy(alpha_t)
-    lower = game.success_probability(strategy)
-    upper = certify(alpha_t, strategy)
-    if upper is not None and upper - lower <= BRACKET_TOL:
-        return QuantumValue(strategy, lower, upper, "trine")
-    result = optimize_quantum(alpha_t, restarts=restarts, seed=seed)
-    bounds = [b for b in (upper, certify(alpha_t, result.strategy)) if b is not None]
-    return QuantumValue(result.strategy, result.value, min(bounds, default=None), "search")
+    return QuantumValue(strategy, game.success_probability(strategy), certify(alpha_t, strategy))
 
 
-def quantum_curve(grid, restarts: int = 50, seed: int = 0) -> list[tuple[float, float]]:
+def quantum_curve(grid) -> list[tuple[float, float]]:
     """(alpha0, P_Q lower bound) along the slice alpha_1 = alpha_2 = (2 - alpha0)/2."""
-    points = []
-    for idx, alpha0 in enumerate(grid):
-        alpha = AlphaTriple.symmetric(float(alpha0))
-        value = quantum_value(alpha, restarts=restarts, seed=derive_seed(seed, idx))
-        points.append((float(alpha0), value.lower))
-    return points
+    return [(float(a0), quantum_value(AlphaTriple.symmetric(float(a0))).lower) for a0 in grid]

@@ -11,19 +11,20 @@ reduce to exact vector arithmetic:
 Complex 2x2 matrices never appear in this package; the test suite keeps
 an independent complex-matrix oracle for cross-checking.
 
-``zero_sum_alignment`` solves the measurement subproblem shared by the
-game optimizer and the guessing witness: the best effect Bloch parts
-y_b with sum_b y_b = 0 and |y_b| <= r_b for given linear targets.
+``zero_sum_alignment`` solves the measurement subproblem of the game: the
+best Bloch parts y_b of a three-outcome POVM, with sum_b y_b = 0 and
+|y_b| <= r_b, for given linear targets.  It is closed-form: no iteration
+and no tolerance loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 DEFAULT_TOL = 1e-9
-INACTIVE_RADIUS = 1e-12  # zero_sum_alignment holds y_b = 0 for radii up to this
 
 
 class InvalidStateError(ValueError):
@@ -231,74 +232,84 @@ def povm_from_weighted_projectors(alphas, directions, tol: float = DEFAULT_TOL) 
     return Povm(tuple(effects), alphas=tuple(float(a) for a in alphas), tol=tol)
 
 
-def zero_sum_alignment(c, r, lam=None, iters: int = 400) -> tuple[np.ndarray, np.ndarray]:
+def _force_triangles(r: np.ndarray) -> np.ndarray:
+    """Plane vectors t_b, as complex numbers, with |t_b| = r_b and
+    t_0 + t_1 + t_2 = 0, in both reflections: shape (2, 3).
+
+    The longest side t_a lies on the real axis and the other two meet at
+    height h = 2 area / r_a above it.  The area comes from Kahan's stable
+    form of Heron's formula and the real parts from factored differences of
+    squares, so short sides keep full relative accuracy.  Radii that break
+    the triangle inequality give sides longer than their radii.
+    """
+    a, b, c = sorted(range(3), key=lambda i: -r[i])  # r_a >= r_b >= r_c
+    ra, rb, rc = float(r[a]), float(r[b]), float(r[c])
+    area16 = (ra + (rb + rc)) * (rc - (ra - rb)) * (rc + (ra - rb)) * (ra + (rb - rc))
+    twice_ra = 2.0 * max(ra, 1e-300)
+    height = math.sqrt(max(area16, 0.0)) / twice_ra
+    t = np.zeros(3, dtype=complex)
+    t[a] = ra
+    t[b] = complex(-((ra - rc) * (ra + rc) + rb**2) / twice_ra, height)
+    t[c] = complex(-((ra - rb) * (ra + rb) + rc**2) / twice_ra, -height)
+    return np.stack([t, t.conj()])
+
+
+def zero_sum_alignment(c, r) -> np.ndarray:
     """Maximize sum_b y_b.c_b over sum_b y_b = 0 and |y_b| <= r_b, row by row.
 
-    ``c`` stacks the targets of R problems, shape (R, k, 3); the radii
-    ``r`` (k,) are shared by every row; ``lam`` (R, 3) warm-starts the
-    multiplier.  Returns (y, lam), shapes (R, k, 3) and (R, 3).
+    ``c`` stacks the three targets of R problems, shape (R, 3, 3); the
+    radii ``r`` (3,) are shared by every row.  Returns y, shape (R, 3, 3).
 
-    The dual is min_lam sum_b r_b |c_b - lam|, the r-weighted geometric
-    median of the targets, and y_b = r_b (c_b - lam) / |c_b - lam| away
-    from lam.  Zero radii are inactive (y_b = 0).  Two active balls have
-    the closed form y = +-min(r) along c_1 - c_2.  Otherwise lam = c_a is
-    optimal iff the pull sum_b r_b (c_b - c_a) / |c_b - c_a| of the other
-    points is no longer than the total radius of the points coinciding
-    with c_a, which then share -pull in proportion to their radii; rows
-    without such an anchor run Weiszfeld's iteration from lam (default:
-    the r-weighted centroid).  A final r^2-weighted projection onto
-    sum y = 0 and one uniform shrink into the balls make y feasible up to
-    rounding: the shrink keeps the sum at zero.
+    The dual is min_lam sum_b r_b |c_b - lam|, a weighted Fermat-Torricelli
+    problem.  Its minimum sits either on a target c_a or off every target,
+    where all three balls are tight and the y_b close a triangle with side
+    lengths r.  Every candidate sums to zero by construction:
+
+    * anchored at a: y_b = r_b (c_b - c_a) / |c_b - c_a| for b != a (zero
+      when c_b = c_a) and y_a = -(sum of the others).  Its value is the dual
+      at lam = c_a, so it is optimal whenever |y_a| <= r_a;
+    * the force triangle of ``_force_triangles`` in the plane of the
+      targets, in both reflections.  With the targets as complex numbers
+      d_b in that plane, the triangle turned by phi has the value
+      Re(exp(-i phi) A) with A = sum_b conj(t_b) d_b (``amplitude``),
+      largest at phi = arg A = atan2(Im A, Re A), where it is |A|.
+
+    The candidate with the largest value among those inside the balls (up
+    to rounding) is returned.
     """
     c = np.asarray(c, dtype=float)
     r = np.asarray(r, dtype=float)
-    idx = np.flatnonzero(r > INACTIVE_RADIUS)
-    ca, ra = c[:, idx, :], r[idx]
-    if lam is None:
-        lam = (ra[None, :, None] * ca).sum(axis=1) / max(ra.sum(), 1e-300)
-    lam = np.array(lam, dtype=float)
-    y = np.zeros_like(c)
-    if idx.size < 2:
-        return y, lam
-    if idx.size == 2:
-        d = ca[:, 0, :] - ca[:, 1, :]
-        nd = np.linalg.norm(d, axis=1, keepdims=True)
-        unit = np.where(nd > 1e-14, d / np.maximum(nd, 1e-14), 0.0)
-        ya = ra.min() * np.stack([unit, -unit], axis=1)
-        lam[:] = ca[:, np.argmax(ra), :]  # the median sits on the larger ball's target
-    else:
-        # anchored test for every (row, a) at once: diffs[:, a, b] = c_b - c_a
-        diffs = ca[:, None, :, :] - ca[:, :, None, :]
-        norms = np.linalg.norm(diffs, axis=3)
-        near = norms <= 1e-14
-        units = np.where(near[..., None], 0.0, diffs / np.maximum(norms, 1e-14)[..., None])
-        pull = (ra[:, None] * units).sum(axis=2)
-        share = (ra * near).sum(axis=2)
-        ok = np.linalg.norm(pull, axis=2) <= share + 1e-14
-        free = ~ok.any(axis=1)
-        rows = np.flatnonzero(~free)
-        a = ok[rows].argmax(axis=1)
-        hold = near[rows, a] * (ra / share[rows, a, None])
-        ya = np.empty_like(ca)
-        ya[rows] = ra[:, None] * units[rows, a] - hold[..., None] * pull[rows, a, None, :]
-        lam[rows] = ca[rows, a]
-        if free.any():
-            cf, lf = ca[free], lam[free]
-            for _ in range(iters):
-                wgt = ra / np.maximum(np.linalg.norm(cf - lf[:, None, :], axis=2), 1e-14)
-                new = (wgt[..., None] * cf).sum(axis=1) / wgt.sum(axis=1, keepdims=True)
-                done = np.max(np.abs(new - lf)) < 1e-14
-                lf = new
-                if done:
-                    break
-            lam[free] = lf
-            diff = cf - lf[:, None, :]
-            ya[free] = ra[None, :, None] * diff / np.maximum(np.linalg.norm(diff, axis=2, keepdims=True), 1e-14)
-    ya -= (ra**2)[None, :, None] * (ya.sum(axis=1, keepdims=True) / (ra**2).sum())
-    over = (np.linalg.norm(ya, axis=2) / ra).max(axis=1)
-    ya /= np.maximum(over, 1.0)[:, None, None]
-    y[:, idx, :] = ya
-    return y, lam
+    bound = (r * (1.0 + 1e-12)) ** 2
+    diffs = c[:, None, :, :] - c[:, :, None, :]  # diffs[:, a, b] = c_b - c_a
+    dist = np.sqrt(np.einsum("rabk,rabk->rab", diffs, diffs))
+    anchored = (r / np.maximum(dist, 1e-300))[..., None] * diffs
+    closing = -np.einsum("rabk->rak", anchored)  # y_a of the candidate anchored at a
+    diag = np.arange(3)
+    anchored[:, diag, diag] = closing
+    anchored_value = np.where(np.einsum("rak,rak->ra", closing, closing) <= bound, dist @ r, -np.inf)
+
+    # orthonormal e1, e2 spanning the differences d of the targets: e1 along
+    # the longer d, e2 the other d with its e1 part projected out twice, so
+    # e2.e1 stays at rounding level even for collinear targets.  The plane
+    # vector x + iy is x e1 + y e2 = Re((x + iy) conj(e1 + i e2)).
+    d = c[:, 1:] - c[:, :1]
+    lengths = np.sqrt((d**2).sum(axis=2))
+    swap = (lengths[:, 1] > lengths[:, 0])[:, None]
+    e1 = np.where(swap, d[:, 1], d[:, 0]) / np.maximum(lengths.max(axis=1), 1e-300)[:, None]
+    e2 = np.where(swap, d[:, 0], d[:, 1])
+    e2 = e2 - (e2 * e1).sum(axis=1, keepdims=True) * e1
+    e2 -= (e2 * e1).sum(axis=1, keepdims=True) * e1
+    e2 /= np.maximum(np.sqrt((e2**2).sum(axis=1)), 1e-300)[:, None]
+    plane = e1 + 1j * e2
+    t = _force_triangles(r)
+    amplitude = np.einsum("rbk,rk->rb", c, plane) @ t.conj().T  # A per row and reflection
+    turned = (amplitude / np.maximum(np.abs(amplitude), 1e-300))[..., None] * t
+    triangles = (turned[..., None] * plane.conj()[:, None, None, :]).real
+    inside = (np.einsum("rsbk,rsbk->rsb", triangles, triangles) <= bound).all(axis=2)
+    triangle_value = np.where(inside, np.abs(amplitude), -np.inf)
+
+    best = np.concatenate([anchored_value, triangle_value], axis=1).argmax(axis=1)
+    return np.concatenate([anchored, triangles], axis=1)[np.arange(len(c)), best]
 
 
 def random_state(rng: np.random.Generator, pure: bool = False) -> DensityState:

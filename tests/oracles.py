@@ -3,7 +3,9 @@
 The library never touches complex matrices; these helpers rebuild every
 operator as an explicit complex 2x2 matrix so eigenvalues, traces and Born
 probabilities can be cross-checked against numpy's eigensolver.  The LP
-oracle enumerates basic points of small box LPs directly.
+oracle enumerates basic points of small box LPs directly.  The quantum
+value has a closed form on the whole weight triangle, and the measurement
+subproblem's dual is minimized by ``scipy.optimize.minimize``.
 """
 
 from itertools import combinations, product
@@ -79,3 +81,39 @@ def lp_best_vertex_value(c, a, b, lower, upper, tol: float = 1e-9) -> float:
             if np.all(x >= lower - tol) and np.all(x <= upper + tol):
                 best = max(best, float(c @ x))
     return best
+
+
+def quantum_value_closed_form(alpha) -> float:
+    """P_Q(alpha) = 1/3 + F/12, with F the weighted Fermat-Torricelli value
+    of the trine's measurement targets, an equilateral triangle of side 3.
+
+    Sorted so that a_max >= a_mid >= a_min: when a_max^2 >= a_mid^2 +
+    a_min^2 + a_mid a_min the median sits on a target and
+    P_Q = 5/6 - a_max/4; otherwise F^2 = (9/2) sum a^2 + 18 sqrt(3) H, with
+    H the Heron area of the triangle with side lengths alpha, which is
+    sqrt((1 - a_0)(1 - a_1)(1 - a_2)) because sum alpha = 2.
+    """
+    a_min, a_mid, a_max = sorted(float(a) for a in alpha)
+    if a_max**2 >= a_mid**2 + a_min**2 + a_mid * a_min:
+        return 5.0 / 6.0 - a_max / 4.0
+    heron = np.sqrt((1.0 - a_min) * (1.0 - a_mid) * (1.0 - a_max))
+    return 1.0 / 3.0 + np.sqrt(4.5 * (a_min**2 + a_mid**2 + a_max**2) + 18.0 * np.sqrt(3.0) * heron) / 12.0
+
+
+def weighted_median_value(c, r) -> float:
+    """min over lam of sum_b r_b |c_b - lam|: L-BFGS-B from the r-weighted
+    centroid, compared with the value at each target, where the objective
+    has a kink."""
+    from scipy.optimize import minimize
+
+    c = np.asarray(c, dtype=float)
+    r = np.asarray(r, dtype=float)
+
+    def dual(lam):
+        diff = c - lam
+        norms = np.linalg.norm(diff, axis=1)
+        return float(r @ norms), -(r / np.maximum(norms, 1e-300)) @ diff
+
+    start = (r @ c) / max(r.sum(), 1e-300)
+    found = minimize(dual, start, jac=True, method="L-BFGS-B")
+    return min([float(found.fun)] + [dual(target)[0] for target in c])

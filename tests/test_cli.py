@@ -17,7 +17,7 @@ def run(argv, tmp_path, name):
 class TestCurve:
     def test_single_point_row(self, tmp_path):
         code, data = run(
-            ["curve", "--alpha0", "0.6666666666666666", "--restarts", "8", "--seed", "1"],
+            ["curve", "--alpha0", "0.6666666666666666", "--seed", "1"],
             tmp_path,
             "curve.csv",
         )
@@ -28,7 +28,7 @@ class TestCurve:
 
     def test_extreme_point_values_coincide(self, tmp_path):
         code, data = run(
-            ["curve", "--alpha0", "1.0", "--restarts", "8", "--include-classical"],
+            ["curve", "--alpha0", "1.0", "--include-classical"],
             tmp_path,
             "curve.csv",
         )
@@ -42,7 +42,7 @@ class TestCurve:
         assert data.decode() == "alpha0,p_q,p_nc\n"
 
     def test_byte_identical_reruns(self, tmp_path):
-        args = ["curve", "--grid", "0:1:0.5", "--restarts", "6", "--seed", "3"]
+        args = ["curve", "--grid", "0:1:0.5", "--seed", "3"]
         _, first = run(args, tmp_path, "a.csv")
         _, second = run(args, tmp_path, "b.csv")
         assert first == second
@@ -56,7 +56,7 @@ class TestCurve:
 class TestBounds:
     def test_symmetric_anchor_report(self, tmp_path):
         code, data = run(
-            ["bounds", "--alpha0", "0.6666666666666666", "--restarts", "10"],
+            ["bounds", "--alpha0", "0.6666666666666666"],
             tmp_path,
             "bounds.json",
         )
@@ -129,7 +129,7 @@ class TestCoherence:
     "argv",
     [
         *([command, "--format", "json"] for command in ("curve", "bounds", "simulate", "incompat", "coherence")),
-        *([command, "--restarts", "5"] for command in ("simulate", "incompat", "coherence")),
+        *([command, "--restarts", "5"] for command in ("curve", "bounds", "simulate", "incompat", "coherence")),
         *([command, "--tol", "1e-9"] for command in ("curve", "incompat", "coherence")),
     ],
 )

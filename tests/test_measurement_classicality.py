@@ -6,6 +6,7 @@ import pytest
 from trinegame import measurement_classicality
 from trinegame.measurement_classicality import (
     CoplanarityError,
+    PartitionedEnsemble,
     add_noise,
     all_effects_collinear,
     antidistinguishing_povm,
@@ -32,6 +33,7 @@ from trinegame.qubit_core import (
     povm_from_weighted_projectors,
     random_povm,
     state_from_bloch,
+    validate_povm,
     xz_direction,
 )
 
@@ -101,7 +103,7 @@ class TestEnsembles:
 
 class TestMinEnclosingBall:
     def test_known_configurations(self):
-        center, radius = min_enclosing_ball(np.array([[0.0, 0, 0], [2.0, 0, 0]]))
+        center, radius, _, _ = min_enclosing_ball(np.array([[0.0, 0, 0], [2.0, 0, 0]]))
         assert radius == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(center, (1, 0, 0), atol=1e-12)
 
@@ -109,8 +111,12 @@ class TestMinEnclosingBall:
         rng = np.random.default_rng(12)
         for _ in range(25):
             pts = rng.normal(size=(int(rng.integers(2, 10)), 3))
-            center, radius = min_enclosing_ball(pts)
+            center, radius, support, weights = min_enclosing_ball(pts)
             assert np.max(np.linalg.norm(pts - center, axis=1)) <= radius + 1e-12
+            # the center is a convex combination of support points on the boundary
+            assert np.all(weights >= -1e-12) and weights.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.allclose(weights @ pts[list(support)], center, rtol=0, atol=1e-12)
+            assert np.allclose(np.linalg.norm(pts[list(support)] - center, axis=1), radius, rtol=0, atol=1e-12)
             # oracle: heavy-ball subgradient descent on the max-distance objective
             c = pts.mean(axis=0)
             for it in range(4000):
@@ -139,6 +145,28 @@ class TestPostGuessBounds:
         for w_op in ens.pair_operators():
             gap = y - oracles.operator_matrix(w_op.scalar, w_op.vec)
             assert np.linalg.eigvalsh(gap).min() >= -1e-10
+
+    def test_witness_meets_the_dual_on_all_ensembles(self):
+        ensembles = [carmeli_ensemble()] + [
+            ensemble_for_simulator_pair(o, o2) for o in range(5) for o2 in range(o + 1, 5)
+        ]
+        for ens in ensembles:
+            lower, upper, _, povm, assignment = post_guess_bounds(ens)
+            assert abs(upper - lower) <= 1e-12
+            assert validate_povm(povm.effects).passed
+            assert all(eff.is_rank_one() for eff in povm.effects)
+            explicit = sum(
+                oracles.born(ens.part0[i], eff) + oracles.born(ens.part1[j], eff)
+                for eff, (i, j) in zip(povm.effects, assignment)
+            ) / 6
+            assert explicit == pytest.approx(lower, abs=1e-12)
+
+    def test_identical_states_give_one_third(self):
+        # all nine pair points coincide: the ball has radius 0
+        state = state_from_bloch((0, 0, 1))
+        lower, upper, _, povm, _ = post_guess_bounds(PartitionedEnsemble((state,) * 3, (state,) * 3))
+        assert lower == pytest.approx(1 / 3, abs=1e-15) and upper == pytest.approx(1 / 3, abs=1e-15)
+        assert validate_povm(povm.effects).passed
 
     def test_bounds_bracket_sane_interval(self):
         lower, upper, _, _, _ = post_guess_bounds(carmeli_ensemble())

@@ -26,7 +26,7 @@ class TestCertificate:
         beta[::50] = np.eye(3)[rng.integers(0, 3, size=n // 50)]  # vertices: one alpha_b = 0
         for k in range(n):
             al = AlphaTriple(tuple(1.0 - beta[k])).as_array()
-            y, _ = zero_sum_alignment(rng.normal(size=(1, 3, 3)), al)
+            y = zero_sum_alignment(rng.normal(size=(1, 3, 3)), al)
             y = rng.uniform() * y[0]
             strategy = quantum_opt._strategy(u[k], y, al)
             qp = quantum_bound._quadratic_program(al)
@@ -48,7 +48,7 @@ class TestCertificate:
         upper = quantum_value(alpha).upper
         u = random_feasible_first_blochs(rng, 300)
         # the best measurement for each sampled preparation triple
-        y, _ = zero_sum_alignment(quantum_opt._pair_sums(u), al)
+        y = zero_sum_alignment(quantum_opt._pair_sums(u), al)
         best = max(success_probability(quantum_opt._strategy(u[k], y[k], al)) for k in range(300))
         assert best <= upper
 
