@@ -14,6 +14,9 @@ Four independent certificates live here:
 * direct joint-measurability feasibility for coplanar POVM pairs, with the
   positivity cone replaced by inscribed (feasible => compatible) and
   circumscribed (infeasible => incompatible) polygon cones, both plain LPs;
+  white noise scales only the Bloch parts, so the largest noise level the
+  inscribed cone certifies compatible is one more LP, with the noise level
+  as a variable;
 * coherence detection: a POVM is free for a basis iff every effect Bloch
   vector is collinear with the basis axis; free in some basis iff all
   effect vectors are pairwise collinear, with the best witness state lying
@@ -22,13 +25,14 @@ Four independent certificates live here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from .lp_engine import LinearProgram, solve
+from .lp_engine import FEASIBILITY_TOL, LinearProgram, LpNumericalError, solve
 from .qubit_core import (
     DensityState,
     Effect,
@@ -367,20 +371,48 @@ def add_noise(povm: Povm, eta: float) -> Povm:
 def noise_compatibility_threshold(
     m_first: Povm, m_second: Povm, polygon_k: int = 64, tol: float = 1e-4
 ) -> tuple[float, float]:
-    """Bisection bracket (last compatible eta, first incompatible eta)."""
-    lo, hi = 0.0, 1.0
-    if joint_measurability_check(m_first, m_second, polygon_k).verdict == "compatible":
+    """Dyadic bracket (lo, hi) on the largest noise eta for which the
+    inscribed-cone LP of ``joint_measurability_check`` is feasible.
+
+    Noise scales only the Bloch parts of the plane coordinates, so one LP
+    decides every eta: the inscribed-cone constraints with the Bloch parts
+    moved to the left-hand side as eta times a column, the weights alone on
+    the right, and eta in [0, 1] maximized.  The feasible eta form an
+    interval holding 0 (G_ij = w_i w'_j I, and I is the mean of the polygon
+    generators), so every eta up to the optimum eta* is certified compatible.
+    With 2^-d the largest power of two <= tol, lo = floor(eta* 2^d) / 2^d and
+    hi = lo + 2^-d, the bracket a bisection on the 2^-d grid returns; (1.0,
+    1.0) when eta* reaches 1.  hi is only the first grid point whose
+    inscribed-cone LP is infeasible: the pair may still be compatible there,
+    so hi is not a certified incompatible noise level.
+    """
+    # 2**-52 is the spacing of the doubles just below 1: a finer grid has no points there
+    if not (np.isfinite(tol) and tol >= 2.0**-52):
+        raise ValueError(f"tol must be finite and >= 2**-52, got {tol}")
+    if len(m_first) != 3 or len(m_second) != 3:
+        raise ValueError("expected three-outcome measurements")
+    coords = _plane_coords(m_first, m_second)
+    weights = coords.copy()
+    weights[:, :, 1:] = 0.0
+    cone = _joint_lp(weights, _polygon_generators(coords, polygon_k, 1.0, True))
+    bloch = (coords - weights).reshape(-1, 1)
+    result = solve(
+        LinearProgram(
+            objective=np.append(cone.objective, 1.0),
+            eq_matrix=np.hstack([cone.eq_matrix, -bloch]),
+            eq_rhs=cone.eq_rhs,
+            lower=np.append(cone.lower, 0.0),
+            upper=np.append(cone.upper, 1.0),
+        )
+    )
+    if result.status != "optimal":
+        raise LpNumericalError(f"noise LP ended {result.status}, but eta = 0 is feasible")
+    eta = float(result.x[-1])
+    if eta >= 1.0 - FEASIBILITY_TOL:
         return 1.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        verdict = joint_measurability_check(
-            add_noise(m_first, mid), add_noise(m_second, mid), polygon_k
-        ).verdict
-        if verdict == "compatible":
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    d = max(0, 1 - math.frexp(tol)[1])
+    lo = math.ldexp(math.floor(math.ldexp(eta, d)), -d)
+    return lo, lo + math.ldexp(1.0, -d)
 
 
 # ---------------------------------------------------------------------------

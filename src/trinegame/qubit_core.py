@@ -97,7 +97,7 @@ class DensityState:
     def __post_init__(self):
         object.__setattr__(self, "bloch", _vec3(self.bloch))
         r = float(np.linalg.norm(self.bloch))
-        if r > 1.0 + self.tol:
+        if not r <= 1.0 + self.tol:  # written so that NaN fails
             raise InvalidStateError(f"Bloch vector norm {r} exceeds 1 beyond tol={self.tol}")
 
     @property
@@ -127,7 +127,7 @@ class Effect:
         object.__setattr__(self, "weight", float(self.weight))
         object.__setattr__(self, "vec", _vec3(self.vec))
         lo, hi = self.eigenvalues()
-        if lo < -self.tol or hi > 1.0 + self.tol:
+        if not (lo >= -self.tol and hi <= 1.0 + self.tol):  # written so that NaN fails
             raise InvalidEffectError(f"effect eigenvalues ({lo}, {hi}) leave [0, 1] beyond tol={self.tol}")
 
     def eigenvalues(self) -> tuple[float, float]:
@@ -144,10 +144,10 @@ class Effect:
 
 
 def completeness_residual(effects) -> float:
-    """Max of |sum w - 1| and |sum vec| for a candidate POVM."""
+    """Max of |sum w - 1| and |sum vec| for a candidate POVM; NaN if either is."""
     w = sum(e.weight for e in effects)
     v = np.sum([e.vec for e in effects], axis=0)
-    return max(abs(w - 1.0), float(np.linalg.norm(v)))
+    return float(np.maximum(abs(w - 1.0), np.linalg.norm(v)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +165,7 @@ class Povm:
     def __post_init__(self):
         object.__setattr__(self, "effects", tuple(self.effects))
         res = completeness_residual(self.effects)
-        if res > self.tol:
+        if not res <= self.tol:  # written so that NaN fails
             raise InvalidPovmError(f"completeness residual {res} exceeds tol={self.tol}")
         if self.alphas is None:
             rank_one_like = all(

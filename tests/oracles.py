@@ -5,7 +5,9 @@ operator as an explicit complex 2x2 matrix so eigenvalues, traces and Born
 probabilities can be cross-checked against numpy's eigensolver.  The LP
 oracle enumerates basic points of small box LPs directly.  The quantum
 value has a closed form on the whole weight triangle, and the measurement
-subproblem's dual is minimized by ``scipy.optimize.minimize``.
+subproblem's dual is minimized by ``scipy.optimize.minimize``.  The noise
+threshold's bisection over joint-measurability checks is the reference for
+the single parametric LP that replaced it.
 """
 
 from itertools import combinations, product
@@ -117,3 +119,23 @@ def weighted_median_value(c, r) -> float:
     start = (r @ c) / max(r.sum(), 1e-300)
     found = minimize(dual, start, jac=True, method="L-BFGS-B")
     return min([float(found.fun)] + [dual(target)[0] for target in c])
+
+
+def noise_threshold_by_bisection(m_first, m_second, polygon_k: int = 64, tol: float = 1e-4):
+    """Bisection bracket on the 2^-d grid: one full joint-measurability
+    check at eta = 1, then one per halving until the bracket is at most tol."""
+    from trinegame.measurement_classicality import add_noise, joint_measurability_check
+
+    lo, hi = 0.0, 1.0
+    if joint_measurability_check(m_first, m_second, polygon_k).verdict == "compatible":
+        return 1.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        verdict = joint_measurability_check(
+            add_noise(m_first, mid), add_noise(m_second, mid), polygon_k
+        ).verdict
+        if verdict == "compatible":
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trinegame import measurement_classicality
+from trinegame.lp_engine import LpNumericalError
 from trinegame.measurement_classicality import (
     CoplanarityError,
     PartitionedEnsemble,
@@ -43,6 +44,34 @@ TRINE_STATES = [state_from_bloch(xz_direction(2 * np.pi * b / 3)) for b in range
 TRINE_POVM = povm_from_weighted_projectors([2 / 3] * 3, [s.bloch for s in TRINE_STATES])
 SIM5 = simulator_set(5)
 M0, M1 = SIM5.members[0].povm, SIM5.members[1].povm
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every LpSolution the module's LPs return, in call order."""
+    solutions = []
+    solve = measurement_classicality.solve
+
+    def recording_solve(lp):
+        solutions.append(solve(lp))
+        return solutions[-1]
+
+    monkeypatch.setattr(measurement_classicality, "solve", recording_solve)
+    return solutions
+
+
+def planar_rank_one_povm(rng: np.random.Generator) -> Povm:
+    """Three rank-one effects (a_b / 2)(I + n_b.sigma) in the xz plane: the
+    vectors a_b n_b close a triangle with side lengths a_b < 1, sum a = 2."""
+    while True:
+        a = 2.0 * rng.dirichlet(np.ones(3))
+        if a.max() < 1.0:
+            break
+    # exterior angle between the first two sides, by the law of cosines
+    turn = np.pi - np.arccos(np.clip((a[0] ** 2 + a[1] ** 2 - a[2] ** 2) / (2 * a[0] * a[1]), -1.0, 1.0))
+    phi = rng.uniform(0.0, 2.0 * np.pi)
+    sides = [a[0] * xz_direction(phi), a[1] * xz_direction(phi + turn)]
+    return povm_from_weighted_projectors(a, sides + [-(sides[0] + sides[1])])
 
 
 def rotated(povm: Povm, angle: float) -> Povm:
@@ -247,19 +276,11 @@ class TestJointMeasurability:
             second = [sum(joint[i, j] for i in range(3)) for j in range(3)]
             assert np.allclose(lp.eq_matrix @ x, np.concatenate(first + second), rtol=0, atol=1e-12)
 
-    def test_k64_check_pivot_count(self, monkeypatch):
+    def test_k64_check_pivot_count(self, solves):
         # 1,885 pivots under Bland's rule alone; Dantzig pricing needs 66
-        solutions = []
-        solve = measurement_classicality.solve
-
-        def recording_solve(lp):
-            solutions.append(solve(lp))
-            return solutions[-1]
-
-        monkeypatch.setattr(measurement_classicality, "solve", recording_solve)
         assert joint_measurability_check(M0, M1, polygon_k=64).verdict == "incompatible"
-        assert len(solutions) == 2
-        assert sum(s.phase1_pivots + s.phase2_pivots for s in solutions) <= 377
+        assert len(solves) == 2
+        assert sum(s.phase1_pivots + s.phase2_pivots for s in solves) <= 377
 
     def test_noise_thresholds_respect_rotation_symmetry(self):
         # the five simulators are rotations of one another by 72 degrees, so
@@ -279,6 +300,61 @@ class TestJointMeasurability:
         lo, hi = noise_compatibility_threshold(M0, M1, polygon_k=32, tol=1e-3)
         assert 0.1 < lo <= hi < 1.0
         assert hi - lo <= 1e-3
+        assert (lo, hi) == oracles.noise_threshold_by_bisection(M0, M1, polygon_k=32, tol=1e-3)
+
+    def test_ten_pairs_match_bisection_and_lo_is_compatible(self):
+        for o in range(5):
+            for o2 in range(o + 1, 5):
+                first, second = SIM5.members[o].povm, SIM5.members[o2].povm
+                lo, hi = noise_compatibility_threshold(first, second, polygon_k=64)
+                assert (lo, hi) == oracles.noise_threshold_by_bisection(first, second, polygon_k=64), (o, o2)
+                check = joint_measurability_check(add_noise(first, lo), add_noise(second, lo), 64)
+                assert check.verdict == "compatible", (o, o2)
+
+    def test_noise_threshold_is_one_solve(self, solves):
+        noise_compatibility_threshold(M0, M1, polygon_k=64)
+        assert len(solves) == 1
+        assert solves[0].status == "optimal"
+
+    def test_seeded_planar_pairs_match_bisection(self, solves):
+        # near-extremal pairs: rank-one effects, or Bloch parts shrunk by at
+        # most 10%; every third pair has a second POVM at noise 0.45, which
+        # the inscribed cone often already holds at eta = 1
+        rng = np.random.default_rng(20261019)
+        compatible_at_one = rounded_to_one = bisection_failures = 0
+        for idx in range(300):
+            polygon_k, tol = (8, 16, 32, 64, 8, 16)[idx % 6], (1e-3, 1e-4)[idx // 6 % 2]
+            first, second = planar_rank_one_povm(rng), planar_rank_one_povm(rng)
+            if idx % 3 == 1:
+                first = add_noise(first, rng.uniform(0.9, 1.0))
+            elif idx % 3 == 2:
+                second = add_noise(second, 0.45)
+            solves.clear()
+            bracket = noise_compatibility_threshold(first, second, polygon_k, tol)
+            eta = solves[0].x[-1]
+            try:
+                expected = oracles.noise_threshold_by_bisection(first, second, polygon_k, tol)
+            except LpNumericalError:
+                # one of the bisection's cold checks drifted; check the two
+                # ends of the bracket directly instead
+                bisection_failures += 1
+                lo, hi = bracket
+                verdicts = [
+                    joint_measurability_check(add_noise(first, eta), add_noise(second, eta), polygon_k).verdict
+                    for eta in (lo, hi)
+                ]
+                assert verdicts[0] == "compatible" != verdicts[1] and hi - lo <= tol, (idx, verdicts)
+                continue
+            assert bracket == expected, (idx, polygon_k, tol)
+            compatible_at_one += expected == (1.0, 1.0)
+            rounded_to_one += 0.0 < 1.0 - eta <= 1e-12
+        assert compatible_at_one >= 5 and rounded_to_one >= 1, (compatible_at_one, rounded_to_one)
+        assert bisection_failures <= 3
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-4, np.nan, np.inf, 1e-17])
+    def test_noise_threshold_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            noise_compatibility_threshold(M0, M1, polygon_k=8, tol=tol)
 
     def test_no_common_plane_rejected(self):
         # each 3-outcome POVM is coplanar on its own (vectors sum to zero),

@@ -1,11 +1,14 @@
 """Pauli-coordinate algebra against the complex-matrix oracle."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from trinegame.qubit_core import (
     DensityState,
     Effect,
+    InvalidEffectError,
     InvalidPovmError,
     InvalidStateError,
     PauliOperator,
@@ -62,6 +65,10 @@ class TestStateFromBloch:
     def test_rejects_outside_ball(self):
         with pytest.raises(InvalidStateError):
             state_from_bloch((0, 0, 1.001))
+
+    def test_rejects_nan_bloch(self):
+        with pytest.raises(InvalidStateError):
+            state_from_bloch((0, np.nan, 0))
 
     def test_bloch_roundtrip_identity(self):
         rng = np.random.default_rng(7)
@@ -135,6 +142,25 @@ class TestValidatePovm:
     def test_povm_constructor_rejects_incomplete(self):
         with pytest.raises(InvalidPovmError):
             Povm((projector_effect((0, 0, 1), 0.9),))
+
+    def test_effect_rejects_nan_weight(self):
+        with pytest.raises(InvalidEffectError):
+            Effect(np.nan, (0, 0, 0))
+
+    def test_effect_rejects_nan_vector(self):
+        with pytest.raises(InvalidEffectError):
+            Effect(0.5, (0, 0, np.nan))
+
+    def test_povm_rejects_nan_completeness(self):
+        # stand-ins for effects that skipped their own check, so only the
+        # completeness test sees the NaN
+        half = SimpleNamespace(weight=0.5, vec=np.zeros(3))
+        for bad in (
+            SimpleNamespace(weight=np.nan, vec=np.zeros(3)),
+            SimpleNamespace(weight=0.5, vec=np.array([np.nan, 0.0, 0.0])),
+        ):
+            with pytest.raises(InvalidPovmError):
+                Povm((half, bad))
 
 
 class TestPovmProperties:
