@@ -14,8 +14,6 @@ from .qubit_core import (
     outcome_probabilities,
     povm_from_weighted_projectors,
     projector_effect,
-    state_from_bloch,
-    validate_povm,
     xz_direction,
 )
 from .game import (
@@ -32,12 +30,11 @@ from .quantum_opt import (
     QuantumValue,
     analytic_optimal_strategy,
     optimize_quantum,
-    quantum_curve,
     quantum_value,
     trine_preparation_value,
 )
 from .lp_engine import LinearProgram, LpFamily, LpNumericalError, LpSolution, format_lp, solve
-from .nc_bound import build_nc_lp, nc_curve, nc_global_max, nc_value, nc_value_all_assignments
+from .nc_bound import build_nc_lp, nc_global_max, nc_value, nc_value_all_assignments
 from .classical_bound import (
     CLASSICAL_OPTIMUM,
     ClassicalStrategy,
@@ -60,7 +57,6 @@ from .measurement_classicality import (
     carmeli_ensemble,
     dephase,
     guessing_report,
-    incompatibility_witness,
     is_free_in_any_basis,
     is_free_povm,
     joint_measurability_check,

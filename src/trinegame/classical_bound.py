@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp_engine import LinearProgram, solve
+from .lp_engine import LpFamily
+from .qubit_core import DEFAULT_TOL
 
 CLASSICAL_OPTIMUM = 7.0 / 12.0
 
@@ -50,14 +51,13 @@ class ClassicalStrategy:
     p: np.ndarray
     s: np.ndarray
     r: np.ndarray
-    tol: float = 1e-9
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float).reshape(3, 2)
         if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
             raise EncodingConstraintError("encoding probabilities leave [0, 1]")
         rate, pair = encoding_residuals(p)
-        if rate > self.tol or pair > self.tol:
+        if rate > DEFAULT_TOL or pair > DEFAULT_TOL:
             raise EncodingConstraintError(
                 f"hiding constraints violated: rate residual {rate}, pair residual {pair}"
             )
@@ -116,13 +116,15 @@ def _objective_for_decodings(i: int, j: int) -> tuple[np.ndarray, float]:
 
 def optimize_classical() -> tuple[float, ClassicalStrategy]:
     """Exact optimum: enumerate the nine deterministic decoding pairs and
-    solve the encoding LP for each."""
+    maximize over the encoding polytope for each; the polytope is shared,
+    so one phase 1 serves all nine objectives."""
+    encodings = LpFamily(_EQ, _EQ_RHS, np.zeros(6), np.ones(6))
     best_value = -np.inf
     best = None
     for i in range(3):
         for j in range(3):
             c, const = _objective_for_decodings(i, j)
-            sol = solve(LinearProgram(c, _EQ, _EQ_RHS, np.zeros(6), np.ones(6)))
+            sol = encodings.maximize(c)
             value = sol.value + const
             if value > best_value + 1e-12:
                 best_value = value

@@ -82,9 +82,9 @@ def cmd_curve(args) -> int:
     grid = args.grid if args.alpha0 is None else [args.alpha0]
     header = "alpha0,p_q,p_nc" + (",p_c" if args.include_classical else "")
     lines = [header]
-    quantum = quantum_opt.quantum_curve(grid)
-    for (alpha0, p_q), (_, p_nc) in zip(quantum, nc_bound.nc_curve(grid)):
-        row = f"{alpha0:.6f},{p_q:.6f},{p_nc:.6f}"
+    for alpha0 in grid:
+        alpha = AlphaTriple.symmetric(alpha0)
+        row = f"{alpha0:.6f},{quantum_opt.quantum_value(alpha).lower:.6f},{nc_bound.nc_value(alpha):.6f}"
         if args.include_classical:
             row += f",{CLASSICAL_REF:.6f}"
         lines.append(row)
@@ -206,7 +206,7 @@ def cmd_coherence(args) -> int:
     for idx in range(args.samples):
         povm = random_collinear_povm(rng) if idx % 2 else random_povm(rng, 3)
         a = mc.all_effects_collinear(povm)
-        b = mc.common_diagonal_axis(povm) is not None
+        b = mc.is_free_in_any_basis(povm).free_in_some_basis
         agree += a == b
     records = [
         _record("trine_free_any_basis", float(trine_report.free_in_some_basis), 0.0, 0.0,

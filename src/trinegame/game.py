@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubit_core import DensityState, Povm, born_probability, validate_povm
+from .qubit_core import DensityState, InvalidStateError, Povm, born_probability
 
 # index permutations (x+1)%3 and (x+2)%3
 _SHIFT1 = (1, 2, 0)
@@ -48,9 +48,6 @@ class GameStrategy:
 
 def success_probability(strategy: GameStrategy) -> float:
     """(1/6) sum_{x,a} Tr[rho_xa E_{x+a mod 3}]."""
-    report = validate_povm(strategy.povm.effects, tol=1e-8)
-    if not report.passed:
-        raise ValueError(f"invalid POVM (completeness residual {report.completeness_residual})")
     total = 0.0
     for x in range(3):
         for a in range(2):
@@ -105,27 +102,26 @@ def free_blochs_from_derived(m: np.ndarray) -> np.ndarray:
     return (2.0 / 3.0) * total - m[..., _SHIFT1, :]
 
 
-def complete_preparations(first_states, tol: float = 1e-9):
+def complete_preparations(first_states):
     """Extend three a=0 states to all six preparations.
 
-    Solves both hiding constraints exactly; fails when a derived a=1
-    state is not positive semidefinite.
+    Solves both hiding constraints exactly; raises
+    InfeasiblePreparationError when a derived a=1 Bloch vector leaves the
+    unit ball.
     """
     first_states = tuple(first_states)
     if len(first_states) != 3:
         raise ValueError("expected the three a=0 states")
-    u = np.stack([s.bloch for s in first_states])
-    m = derived_second_blochs(u)
-    norms = np.linalg.norm(m, axis=1)
-    for x in range(3):
-        if norms[x] > 1.0 + tol:
-            raise InfeasiblePreparationError(
-                f"derived state (x={x}, a=1) has Bloch norm {norms[x]:.12f} > 1"
-            )
+    m = derived_second_blochs(np.stack([s.bloch for s in first_states]))
     preps = []
     for x in range(3):
-        preps.append(first_states[x])
-        preps.append(DensityState(m[x], tol=max(tol, 1e-9)))
+        try:
+            second = DensityState(m[x])
+        except InvalidStateError as exc:
+            raise InfeasiblePreparationError(
+                f"derived state (x={x}, a=1) has Bloch norm {np.linalg.norm(m[x]):.12f} > 1"
+            ) from exc
+        preps += [first_states[x], second]
     return tuple(preps)
 
 

@@ -209,18 +209,20 @@ class _Dictionary:
         raise LpNumericalError("simplex iteration limit exceeded")
 
     def drop_artificials(self):
-        """Pivot artificial variables out of the basis; drop redundant rows."""
+        """Pivot artificial variables out of the basis; drop redundant rows.
+
+        Each artificial leaves on the row's largest nonbasic structural
+        entry: the first entry above PIVOT_TOL may be tiny, and dividing by
+        it drifts the tableau.
+        """
         n = self.n_struct
         redundant = []
         for row in range(len(self.basis)):
             if self.basis[row] < n:
                 continue
-            piv_col = -1
-            for j in range(n):
-                if not self.is_basic[j] and abs(self.tab[row, j]) > PIVOT_TOL:
-                    piv_col = j
-                    break
-            if piv_col >= 0:
+            entries = np.where(self.is_basic[:n], 0.0, np.abs(self.tab[row, :n]))
+            piv_col = int(np.argmax(entries))
+            if entries[piv_col] > PIVOT_TOL:
                 self._pivot(row, piv_col)
             else:
                 redundant.append(row)

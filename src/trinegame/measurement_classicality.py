@@ -200,7 +200,7 @@ class GuessingReport:
     p_post_upper: float
     p_post_lower: float
     dual_certificate: PauliOperator
-    witness_margin: float
+    witness_margin: float        # p_prior - p_post_upper; positive proves the pair incompatible
     strategy_povm: Povm
     strategy_assignment: tuple
 
@@ -214,22 +214,13 @@ class GuessingReport:
         return float(worst)
 
 
-def _post_measurement_dual(ensemble: PartitionedEnsemble) -> tuple[np.ndarray, EnclosingBall, float]:
-    """(pair Bloch parts, their minimum enclosing ball, upper bound 2(1/6 + R)).
-
-    min Tr[Y] over Y >= W_ij for all nine pair operators: every W_ij has
-    identity coefficient 1/6, so the optimal Y is 1/6 + R plus the center of
-    the minimum enclosing ball of the W Bloch parts, an exact dual optimum.
-    """
-    pts = np.array([op.vec for op in ensemble.pair_operators()])
-    ball = min_enclosing_ball(pts)
-    return pts, ball, 2.0 * (1.0 / 6.0 + ball.radius)
-
-
 def post_guess_bounds(ensemble: PartitionedEnsemble) -> tuple[float, float, PauliOperator, Povm, tuple]:
     """(p_post_lower, p_post_upper, dual certificate, witness POVM, assignment).
 
-    Upper bound: the exact dual optimum of ``_post_measurement_dual``.
+    Upper bound: min Tr[Y] over Y >= W_ij for all nine pair operators.
+    Every W_ij has identity coefficient 1/6, so the optimal Y is 1/6 + R
+    plus the center of the minimum enclosing ball of the W Bloch parts, an
+    exact dual optimum of value 2 (1/6 + R).
     Lower bound: the value of an explicit witness built on the ball's
     support.  Support point z is the Bloch part p_z of the pair operator
     W_ij, at unit direction n_z from the center and with barycentric weight
@@ -238,7 +229,9 @@ def post_guess_bounds(ensemble: PartitionedEnsemble) -> tuple[float, float, Paul
     sum_z Tr[E_z W_z] = 2 sum_z t_z (1/6 + n_z.p_z) = 2 (1/6 + R), so the
     two bounds meet (complementary slackness).
     """
-    pts, ball, upper = _post_measurement_dual(ensemble)
+    pts = np.array([op.vec for op in ensemble.pair_operators()])
+    ball = min_enclosing_ball(pts)
+    upper = 2.0 * (1.0 / 6.0 + ball.radius)
     certificate = PauliOperator(1.0 / 6.0 + ball.radius, ball.center)
     # all nine points coincide when R = 0; the units are then zero and the effects t_z I
     units = (pts[list(ball.support)] - ball.center) / max(ball.radius, 1e-300)
@@ -263,13 +256,6 @@ def guessing_report(ensemble: PartitionedEnsemble, m_first: Povm, m_second: Povm
         strategy_povm=povm,
         strategy_assignment=assignment,
     )
-
-
-def incompatibility_witness(m_first: Povm, m_second: Povm, ensemble: PartitionedEnsemble) -> float:
-    """prior_guess minus the certified post-measurement optimum; a positive
-    margin proves the pair incompatible."""
-    upper = _post_measurement_dual(ensemble)[2]
-    return prior_guess(ensemble, m_first, m_second) - upper
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +351,7 @@ def joint_measurability_check(m_first: Povm, m_second: Povm, polygon_k: int = 64
 def add_noise(povm: Povm, eta: float) -> Povm:
     """E -> eta E + (1 - eta) Tr[E] I / 2: scales Bloch parts, keeps weights."""
     effects = tuple(Effect(e.weight, eta * e.vec) for e in povm.effects)
-    return Povm(effects, alphas=povm.alphas)
+    return Povm(effects)
 
 
 def noise_compatibility_threshold(
@@ -468,21 +454,6 @@ def all_effects_collinear(povm: Povm, tol: float = 1e-9) -> bool:
     return all(
         float(np.linalg.norm(np.cross(u, v))) <= tol for u, v in combinations(vecs, 2)
     )
-
-
-def common_diagonal_axis(povm: Povm, tol: float = 1e-9) -> np.ndarray | None:
-    """Axis making every effect diagonal, or None; via the principal
-    direction of the stacked effect Bloch vectors."""
-    vecs = np.array([e.vec for e in povm.effects])
-    norms = np.linalg.norm(vecs, axis=1)
-    if np.all(norms <= tol):
-        return np.array([0.0, 0.0, 1.0])
-    _, _, vt = np.linalg.svd(vecs)
-    axis = vt[0]
-    residual = max(
-        float(np.linalg.norm(v - (v @ axis) * axis)) for v in vecs
-    )
-    return axis if residual <= tol else None
 
 
 @dataclass(frozen=True, eq=False)

@@ -172,11 +172,6 @@ def nc_value_all_assignments(alpha) -> dict:
     }
 
 
-def nc_curve(grid) -> list[tuple[float, float]]:
-    """(alpha0, P_NC) along the slice alpha_1 = alpha_2 = (2 - alpha0)/2."""
-    return [(float(a0), nc_value(AlphaTriple.symmetric(float(a0)))) for a0 in grid]
-
-
 def nc_global_max() -> tuple[float, tuple]:
     """Maximum of P_NC over the weight triangle {alpha in [0,1]^3, sum = 2}.
 

@@ -196,7 +196,7 @@ def _strategy(u: np.ndarray, y: np.ndarray, al: np.ndarray) -> game.GameStrategy
     """Six preparations from the a=0 Bloch vectors u and the POVM with
     effects (alpha_b I + y_b.sigma) / 2."""
     preps = game.complete_preparations(tuple(DensityState(u[x]) for x in range(3)))
-    povm = Povm(tuple(Effect(al[b] / 2.0, y[b] / 2.0) for b in range(3)), alphas=tuple(al))
+    povm = Povm(tuple(Effect(al[b] / 2.0, y[b] / 2.0) for b in range(3)))
     return game.GameStrategy(preps, povm)
 
 
@@ -238,7 +238,3 @@ def quantum_value(alpha) -> QuantumValue:
     strategy = _trine_strategy(alpha_t)
     return QuantumValue(strategy, game.success_probability(strategy), certify(alpha_t, strategy))
 
-
-def quantum_curve(grid) -> list[tuple[float, float]]:
-    """(alpha0, P_Q lower bound) along the slice alpha_1 = alpha_2 = (2 - alpha0)/2."""
-    return [(float(a0), quantum_value(AlphaTriple.symmetric(float(a0))).lower) for a0 in grid]

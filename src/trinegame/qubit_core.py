@@ -11,6 +11,12 @@ reduce to exact vector arithmetic:
 Complex 2x2 matrices never appear in this package; the test suite keeps
 an independent complex-matrix oracle for cross-checking.
 
+``DensityState``, ``Effect`` and ``Povm`` are frozen and check themselves
+once, when they are built, at the single tolerance ``DEFAULT_TOL``: a
+Bloch norm at most 1, effect eigenvalues in [0, 1], and effects summing to
+the identity.  Every object that exists is therefore valid; nothing
+re-checks it later.
+
 ``zero_sum_alignment`` solves the measurement subproblem of the game: the
 best Bloch parts y_b of a three-outcome POVM, with sum_b y_b = 0 and
 |y_b| <= r_b, for given linear targets.  It is closed-form: no iteration
@@ -20,7 +26,7 @@ and no tolerance loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,13 +98,12 @@ class DensityState:
     """Qubit density operator (I + bloch.sigma)/2."""
 
     bloch: np.ndarray
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         object.__setattr__(self, "bloch", _vec3(self.bloch))
         r = float(np.linalg.norm(self.bloch))
-        if not r <= 1.0 + self.tol:  # written so that NaN fails
-            raise InvalidStateError(f"Bloch vector norm {r} exceeds 1 beyond tol={self.tol}")
+        if not r <= 1.0 + DEFAULT_TOL:  # written so that NaN fails
+            raise InvalidStateError(f"Bloch vector norm {r} exceeds 1 beyond tol={DEFAULT_TOL}")
 
     @property
     def purity_radius(self) -> float:
@@ -121,14 +126,13 @@ class Effect:
 
     weight: float
     vec: np.ndarray
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         object.__setattr__(self, "weight", float(self.weight))
         object.__setattr__(self, "vec", _vec3(self.vec))
         lo, hi = self.eigenvalues()
-        if not (lo >= -self.tol and hi <= 1.0 + self.tol):  # written so that NaN fails
-            raise InvalidEffectError(f"effect eigenvalues ({lo}, {hi}) leave [0, 1] beyond tol={self.tol}")
+        if not (lo >= -DEFAULT_TOL and hi <= 1.0 + DEFAULT_TOL):  # written so that NaN fails
+            raise InvalidEffectError(f"effect eigenvalues ({lo}, {hi}) leave [0, 1] beyond tol={DEFAULT_TOL}")
 
     def eigenvalues(self) -> tuple[float, float]:
         r = float(np.linalg.norm(self.vec))
@@ -152,50 +156,21 @@ def completeness_residual(effects) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Ordered list of effects summing to the identity.
-
-    ``alphas`` holds the weights a_b when every effect is a_b times a
-    projector (then a_b = 2 w_b); it is auto-populated in that case.
-    """
+    """Ordered list of effects summing to the identity."""
 
     effects: tuple
-    alphas: tuple | None = None
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         object.__setattr__(self, "effects", tuple(self.effects))
         res = completeness_residual(self.effects)
-        if not res <= self.tol:  # written so that NaN fails
-            raise InvalidPovmError(f"completeness residual {res} exceeds tol={self.tol}")
-        if self.alphas is None:
-            rank_one_like = all(
-                abs(e.weight - np.linalg.norm(e.vec)) <= 1e-12 for e in self.effects
-            )
-            if rank_one_like:
-                object.__setattr__(self, "alphas", tuple(2.0 * e.weight for e in self.effects))
-        else:
-            object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-            if len(self.alphas) != len(self.effects):
-                raise InvalidPovmError("alphas and effects length mismatch")
+        if not res <= DEFAULT_TOL:  # written so that NaN fails
+            raise InvalidPovmError(f"completeness residual {res} exceeds tol={DEFAULT_TOL}")
 
     def __len__(self) -> int:
         return len(self.effects)
 
     def __iter__(self):
         return iter(self.effects)
-
-
-@dataclass(frozen=True, eq=False)
-class PovmValidationReport:
-    effect_psd: tuple
-    completeness_residual: float
-    passed: bool
-    tol: float
-
-
-def state_from_bloch(v, tol: float = DEFAULT_TOL) -> DensityState:
-    """Build a state from its Bloch vector; rejects |v| > 1 + tol."""
-    return DensityState(np.asarray(v, dtype=float), tol=tol)
 
 
 def born_probability(state: DensityState, effect: Effect) -> float:
@@ -207,29 +182,18 @@ def outcome_probabilities(state: DensityState, povm: Povm) -> np.ndarray:
     return np.array([born_probability(state, e) for e in povm.effects])
 
 
-def validate_povm(effects, tol: float = DEFAULT_TOL) -> PovmValidationReport:
-    """Report-style check: per-effect positivity and completeness residual."""
-    psd = []
-    for e in effects:
-        lo, hi = e.eigenvalues()
-        psd.append(lo >= -tol and hi <= 1.0 + tol)
-    res = completeness_residual(effects)
-    passed = all(psd) and res <= tol
-    return PovmValidationReport(tuple(psd), res, passed, tol)
-
-
-def projector_effect(direction, alpha: float = 1.0, tol: float = DEFAULT_TOL) -> Effect:
+def projector_effect(direction, alpha: float = 1.0) -> Effect:
     """Effect alpha * |psi><psi| with |psi> along the given Bloch direction."""
     d = np.asarray(direction, dtype=float)
     n = np.linalg.norm(d)
     if n < 1e-14:
         raise InvalidEffectError("projector direction must be nonzero")
-    return Effect(0.5 * alpha, (0.5 * alpha / n) * d, tol=tol)
+    return Effect(0.5 * alpha, (0.5 * alpha / n) * d)
 
 
-def povm_from_weighted_projectors(alphas, directions, tol: float = DEFAULT_TOL) -> Povm:
-    effects = [projector_effect(d, a, tol=tol) for a, d in zip(alphas, directions)]
-    return Povm(tuple(effects), alphas=tuple(float(a) for a in alphas), tol=tol)
+def povm_from_weighted_projectors(alphas, directions) -> Povm:
+    """POVM of the effects alpha_b |psi_b><psi_b|, psi_b along directions[b]."""
+    return Povm(tuple(projector_effect(d, a) for a, d in zip(alphas, directions)))
 
 
 def _force_triangles(r: np.ndarray) -> np.ndarray:

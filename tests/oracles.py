@@ -45,6 +45,14 @@ def born(state, effect) -> float:
     return float(np.real(np.trace(state_matrix(state) @ effect_matrix(effect))))
 
 
+def is_povm(effects, tol: float = 1e-9) -> bool:
+    """Every effect matrix has eigenvalues in [0, 1] and the matrices sum
+    to the identity, each up to tol (spectral norm for the sum)."""
+    mats = [effect_matrix(e) for e in effects]
+    eigs = np.array([np.linalg.eigvalsh(m) for m in mats])
+    return eigs.min() >= -tol and eigs.max() <= 1.0 + tol and np.linalg.norm(sum(mats) - IDENTITY, 2) <= tol
+
+
 def commutators_vanish(povm, tol: float = 1e-9) -> bool:
     """Every pair of effect matrices commutes: the spectral norm of [E, F]
     is 2 |v_E x v_F|, compared with 2 tol."""

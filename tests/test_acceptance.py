@@ -15,13 +15,12 @@ from trinegame.game import (
 )
 from trinegame.lp_engine import solve
 from trinegame.qubit_core import (
+    DensityState,
     born_probability,
     outcome_probabilities,
     povm_from_weighted_projectors,
     random_povm,
     random_state,
-    state_from_bloch,
-    validate_povm,
     xz_direction,
 )
 from trinegame.quantum_opt import (
@@ -181,7 +180,7 @@ def test_criterion_09_incompatibility():
 
 
 def test_criterion_10_antidistinguishability():
-    states = [state_from_bloch(xz_direction(2 * np.pi * b / 3)) for b in range(3)]
+    states = [DensityState(xz_direction(2 * np.pi * b / 3)) for b in range(3)]
     povm = mc.antidistinguishing_povm(states)
     worst = max(abs(born_probability(states[b], povm.effects[b])) for b in range(3))
     _report("10 anti-distinguishability", worst < 1e-14, f"max overlap={worst:.2e}")
@@ -209,7 +208,7 @@ def test_criterion_11_coherence_classification():
         povm = random_collinear_povm(rng) if idx % 2 else random_povm(rng, 3)
         a = mc.all_effects_collinear(povm)
         b = oracles.commutators_vanish(povm)
-        c = mc.common_diagonal_axis(povm) is not None
+        c = mc.is_free_in_any_basis(povm).free_in_some_basis
         agree += a == b == c
     _report(
         "11 coherence classification",

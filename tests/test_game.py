@@ -19,14 +19,13 @@ from trinegame.qubit_core import (
     DensityState,
     Effect,
     Povm,
-    state_from_bloch,
     xz_direction,
 )
 from trinegame.quantum_opt import QUANTUM_OPTIMUM, analytic_optimal_strategy
 
 import oracles
 
-TRINE = [state_from_bloch(xz_direction(2 * np.pi * x / 3)) for x in range(3)]
+TRINE = [DensityState(xz_direction(2 * np.pi * x / 3)) for x in range(3)]
 
 
 def random_rotation(rng):
@@ -54,7 +53,7 @@ class TestSuccessProbability:
             rot = random_rotation(rng)
             preps = tuple(DensityState(rot @ p.bloch) for p in base.preps)
             effects = tuple(Effect(e.weight, rot @ e.vec) for e in base.povm.effects)
-            rotated = GameStrategy(preps, Povm(effects, alphas=base.povm.alphas))
+            rotated = GameStrategy(preps, Povm(effects))
             assert success_probability(rotated) == pytest.approx(
                 success_probability(base), abs=1e-12
             )
@@ -69,12 +68,12 @@ class TestParityConcealment:
         assert report.partition_residual < 1e-15
 
     def test_six_maximally_mixed_pass(self):
-        preps = tuple(state_from_bloch((0, 0, 0)) for _ in range(6))
+        preps = tuple(DensityState((0, 0, 0)) for _ in range(6))
         assert check_parity_concealment(preps).passed
 
     def test_corrupted_first_state_fails(self):
         preps = list(complete_preparations(TRINE))
-        preps[0] = state_from_bloch((1, 0, 0))
+        preps[0] = DensityState((1, 0, 0))
         report = check_parity_concealment(tuple(preps))
         assert not report.passed
         # oracle: residual of the a-mixture constraint by direct matrix summation
@@ -92,18 +91,18 @@ class TestCompletePreparations:
             assert np.allclose(partner.bloch, -TRINE[(x + 2) % 3].bloch, atol=1e-14)
 
     def test_maximally_mixed_fixed_point(self):
-        mixed = [state_from_bloch((0, 0, 0))] * 3
+        mixed = [DensityState((0, 0, 0))] * 3
         preps = complete_preparations(mixed)
         assert all(np.allclose(p.bloch, 0, atol=1e-15) for p in preps)
 
     def test_three_pole_states(self):
         # derived Bloch vectors: (2/3)*3*(0,0,1) - (0,0,1) = (0,0,1)
-        pole = [state_from_bloch((0, 0, 1))] * 3
+        pole = [DensityState((0, 0, 1))] * 3
         preps = complete_preparations(pole)
         assert all(np.allclose(p.bloch, (0, 0, 1), atol=1e-14) for p in preps)
 
     def test_infeasible_input_raises_with_index(self):
-        states = [state_from_bloch((0, 0, 1))] * 2 + [state_from_bloch((0, 0, -1))]
+        states = [DensityState((0, 0, 1))] * 2 + [DensityState((0, 0, -1))]
         with pytest.raises(InfeasiblePreparationError, match=r"x="):
             complete_preparations(states)
 

@@ -13,7 +13,6 @@ from trinegame.nc_bound import (
     VARIABLE_NAMES,
     assignment_patterns,
     build_nc_lp,
-    nc_curve,
     nc_global_max,
     nc_value,
     nc_value_all_assignments,
@@ -57,8 +56,12 @@ class TestAnchors:
         for alpha in (SYMMETRIC, (0.8, 0.6, 0.6)):
             assert solve(build_nc_lp(alpha)).value == pytest.approx(nc_value(alpha), abs=1e-10)
 
-    def test_curve_difference_of_anchors(self):
-        vals = dict(nc_curve([1.0, 2 / 3]))
+    def test_curve_difference_of_anchors(self, curve_rows):
+        vals = {}
+        for alpha0 in (1.0, 2 / 3):
+            ((_, _, p_nc),) = curve_rows("--alpha0", repr(alpha0))
+            vals[alpha0] = nc_value(AlphaTriple.symmetric(alpha0))
+            assert p_nc == f"{vals[alpha0]:.6f}"
         assert vals[1.0] - vals[2 / 3] == pytest.approx(1 / 12, abs=1e-8)
 
     def test_vertex_maximum_bounds_a_grid_over_the_triangle(self):

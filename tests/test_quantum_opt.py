@@ -13,7 +13,6 @@ from trinegame.game import (
     random_feasible_first_blochs,
     success_probability,
 )
-from trinegame.qubit_core import validate_povm
 from trinegame.quantum_opt import (
     BRACKET_TOL,
     QUANTUM_OPTIMUM,
@@ -21,7 +20,6 @@ from trinegame.quantum_opt import (
     analytic_optimal_strategy,
     derive_seed,
     optimize_quantum,
-    quantum_curve,
     quantum_value,
     splitmix64,
     trine_preparation_value,
@@ -39,7 +37,7 @@ def _bracket(value):
 
 
 def _assert_certified(res):
-    assert validate_povm(res.strategy.povm.effects, tol=1e-9).passed
+    assert oracles.is_povm(res.strategy.povm.effects)
     assert check_parity_concealment(res.strategy.preps).passed
     assert res.value == success_probability(res.strategy)
 
@@ -66,9 +64,6 @@ class TestAnalyticStrategy:
     def test_concealment_holds(self):
         assert check_parity_concealment(analytic_optimal_strategy().preps).passed
 
-    def test_alphas_are_two_thirds(self):
-        assert analytic_optimal_strategy().povm.alphas == pytest.approx((2 / 3,) * 3)
-
 
 class TestOptimizer:
     def test_symmetric_anchor(self):
@@ -87,7 +82,7 @@ class TestOptimizer:
     def test_strategies_are_certified(self):
         for alpha in ((2 / 3, 2 / 3, 2 / 3), (0.8, 0.6, 0.6), (0.3, 0.9, 0.8)):
             res = optimize_quantum(alpha, restarts=12, seed=1)
-            assert validate_povm(res.strategy.povm.effects, tol=1e-8).passed
+            assert oracles.is_povm(res.strategy.povm.effects, tol=1e-8)
             report = check_parity_concealment(res.strategy.preps, tol=1e-8)
             assert report.passed
 
@@ -192,18 +187,26 @@ class TestQuantumValue:
             assert 0 <= _bracket(value) <= BRACKET_TOL, alpha0
 
 
+def _curve_p_q(rows) -> list[float]:
+    """p_q of each ``curve`` row, checked to print quantum_value(...).lower."""
+    for alpha0, p_q, _ in rows:
+        assert p_q == f"{quantum_value(AlphaTriple.symmetric(float(alpha0))).lower:.6f}"
+    return [float(p_q) for _, p_q, _ in rows]
+
+
 class TestCurve:
-    def test_single_point_symmetric(self):
-        ((a0, val),) = quantum_curve([2 / 3])
-        assert val == pytest.approx(QUANTUM_OPTIMUM, abs=1e-4)
+    def test_single_point_symmetric(self, curve_rows):
+        (val,) = _curve_p_q(curve_rows("--alpha0", "0.6666666666666666"))
+        assert val == pytest.approx(QUANTUM_OPTIMUM, abs=1e-6)
 
-    def test_extreme_points(self):
-        points = quantum_curve([0.0, 1.0])
-        for _, val in points:
-            assert val == pytest.approx(7 / 12, abs=1e-4)
+    def test_extreme_points(self, curve_rows):
+        points = _curve_p_q(curve_rows("--grid", "0:1:1"))
+        assert len(points) == 2
+        for val in points:
+            assert val == pytest.approx(7 / 12, abs=1e-6)
 
-    def test_midpoint_bracketed(self):
-        ((_, val),) = quantum_curve([0.5])
+    def test_midpoint_bracketed(self, curve_rows):
+        (val,) = _curve_p_q(curve_rows("--alpha0", "0.5"))
         assert 7 / 12 - 1e-4 <= val <= 0.6221
 
 

@@ -14,13 +14,12 @@ from trinegame.qubit_core import (
     PauliOperator,
     Povm,
     born_probability,
+    completeness_residual,
     outcome_probabilities,
     povm_from_weighted_projectors,
     projector_effect,
     random_povm,
     random_state,
-    state_from_bloch,
-    validate_povm,
     xz_direction,
     zero_sum_alignment,
 )
@@ -48,45 +47,51 @@ class TestPauliOperator:
 
 class TestStateFromBloch:
     def test_maximally_mixed(self):
-        state = state_from_bloch((0, 0, 0))
+        state = DensityState((0, 0, 0))
         assert state.eigenvalues() == pytest.approx((0.5, 0.5))
 
     def test_pure_pole(self):
-        state = state_from_bloch((0, 0, 1))
+        state = DensityState((0, 0, 1))
         assert sorted(state.eigenvalues()) == pytest.approx([0.0, 1.0])
         assert state.is_pure()
 
     def test_trine_x1_is_pure(self):
         # Bloch angle 2 pi / 3: (sqrt(3)/2, 0, -1/2)
-        state = state_from_bloch((np.sqrt(3) / 2, 0, -0.5))
+        state = DensityState((np.sqrt(3) / 2, 0, -0.5))
         assert state.is_pure(1e-12)
         assert np.allclose(state.bloch, TRINE_DIRS[1], atol=1e-15)
 
     def test_rejects_outside_ball(self):
         with pytest.raises(InvalidStateError):
-            state_from_bloch((0, 0, 1.001))
+            DensityState((0, 0, 1.001))
+
+    def test_tolerance_boundary(self):
+        # one tolerance, DEFAULT_TOL = 1e-9, on the Bloch norm
+        assert DensityState((0, 0, 1 + 5e-10)).purity_radius == 1 + 5e-10
+        with pytest.raises(InvalidStateError):
+            DensityState((0, 0, 1 + 2e-9))
 
     def test_rejects_nan_bloch(self):
         with pytest.raises(InvalidStateError):
-            state_from_bloch((0, np.nan, 0))
+            DensityState((0, np.nan, 0))
 
     def test_bloch_roundtrip_identity(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             v = rng.normal(size=3)
             v *= rng.uniform() / np.linalg.norm(v)
-            assert np.max(np.abs(state_from_bloch(v).bloch - v)) <= 1e-15
+            assert np.max(np.abs(DensityState(v).bloch - v)) <= 1e-15
 
 
 class TestBornProbability:
     def test_maximally_mixed_gives_weight(self):
-        state = state_from_bloch((0, 0, 0))
+        state = DensityState((0, 0, 0))
         effect = Effect(0.3, (0.1, 0.0, 0.2))
         assert born_probability(state, effect) == pytest.approx(0.3, abs=1e-15)
 
     def test_pole_state_with_optimal_effect(self):
         # E_0 = (2/3)|psi_0><psi_0| with psi_0 at Bloch angle -30 degrees
-        state = state_from_bloch((0, 0, 1))
+        state = DensityState((0, 0, 1))
         effect = projector_effect(xz_direction(-np.pi / 6), 2 / 3)
         expected = oracles.born(state, effect)
         assert expected == pytest.approx((1 + np.cos(np.pi / 6)) / 3, abs=1e-12)
@@ -94,7 +99,7 @@ class TestBornProbability:
         assert born_probability(state, effect) == pytest.approx(0.62200847, abs=1e-8)
 
     def test_orthogonal_projector_gives_zero(self):
-        state = state_from_bloch(xz_direction(1.1))
+        state = DensityState(xz_direction(1.1))
         effect = projector_effect(-xz_direction(1.1), 1.0)
         assert born_probability(state, effect) == pytest.approx(0.0, abs=1e-14)
 
@@ -119,25 +124,46 @@ class TestEffectEigenvalues:
     def test_generic(self):
         assert Effect(0.5, (0.25, 0, 0)).eigenvalues() == pytest.approx((0.25, 0.75))
 
+    def test_tolerance_boundary(self):
+        # eigenvalues 0.25 -+ r and 0.75 -+ r: r = 0.25 + excess puts the
+        # smaller below 0, or the larger above 1, by excess
+        for weight in (0.25, 0.75):
+            Effect(weight, (0, 0, 0.25 + 5e-10))
+            with pytest.raises(InvalidEffectError):
+                Effect(weight, (0, 0, 0.25 + 2e-9))
+
 
 class TestValidatePovm:
+    """Validity is checked once, by the constructors, at DEFAULT_TOL."""
+
     def test_trine_passes(self):
-        report = validate_povm([projector_effect(d, 2 / 3) for d in TRINE_DIRS])
-        assert report.passed
-        assert report.completeness_residual < 1e-15
+        povm = povm_from_weighted_projectors([2 / 3] * 3, TRINE_DIRS)
+        assert oracles.is_povm(povm.effects)
+        assert completeness_residual(povm.effects) < 1e-15
 
     def test_two_half_identities_pass(self):
-        report = validate_povm([Effect(0.5, (0, 0, 0))] * 2)
-        assert report.passed
+        povm = Povm((Effect(0.5, (0, 0, 0)),) * 2)
+        assert oracles.is_povm(povm.effects)
 
     def test_missing_element_fails_with_third_residual(self):
         effects = [projector_effect(TRINE_DIRS[0], 2 / 3), projector_effect(TRINE_DIRS[1], 2 / 3)]
-        report = validate_povm(effects)
-        assert not report.passed
+        with pytest.raises(InvalidPovmError):
+            Povm(tuple(effects))
+        assert not oracles.is_povm(effects)
         # oracle: I - sum has trace 2/3, so the identity-coefficient gap is 1/3
         gap = oracles.IDENTITY - sum(oracles.effect_matrix(e) for e in effects)
         assert np.real(np.trace(gap)) / 2 == pytest.approx(1 / 3, abs=1e-15)
-        assert report.completeness_residual == pytest.approx(1 / 3, abs=1e-12)
+        assert completeness_residual(effects) == pytest.approx(1 / 3, abs=1e-12)
+
+    def test_completeness_tolerance_boundary(self):
+        # residual on the identity coefficient, then on the Bloch parts
+        for pair in (
+            lambda excess: (Effect(0.5 + excess, (0, 0, 0)), Effect(0.5, (0, 0, 0))),
+            lambda excess: (Effect(0.5, (0, 0, 0.1 + excess)), Effect(0.5, (0, 0, -0.1))),
+        ):
+            Povm(pair(5e-10))
+            with pytest.raises(InvalidPovmError):
+                Povm(pair(2e-9))
 
     def test_povm_constructor_rejects_incomplete(self):
         with pytest.raises(InvalidPovmError):
@@ -164,11 +190,6 @@ class TestValidatePovm:
 
 
 class TestPovmProperties:
-    def test_alphas_populated_for_weighted_projectors(self):
-        povm = povm_from_weighted_projectors([2 / 3] * 3, TRINE_DIRS)
-        assert povm.alphas == pytest.approx((2 / 3,) * 3)
-        assert sum(povm.alphas) == pytest.approx(2.0, abs=1e-12)
-
     def test_born_normalization_on_1000_random_pairs(self):
         rng = np.random.default_rng(2024)
         for _ in range(1000):
