@@ -11,7 +11,6 @@ from .qubit_core import (
     PauliOperator,
     Povm,
     born_probability,
-    outcome_probabilities,
     povm_from_weighted_projectors,
     projector_effect,
     xz_direction,
@@ -33,8 +32,8 @@ from .quantum_opt import (
     quantum_value,
     trine_preparation_value,
 )
-from .lp_engine import LinearProgram, LpFamily, LpNumericalError, LpSolution, format_lp, solve
-from .nc_bound import build_nc_lp, nc_global_max, nc_value, nc_value_all_assignments
+from .lp_engine import LpFamily, LpNumericalError, LpSolution
+from .nc_bound import nc_global_max, nc_value, nc_value_all_assignments
 from .classical_bound import (
     CLASSICAL_OPTIMUM,
     ClassicalStrategy,

@@ -131,36 +131,3 @@ def optimize_classical() -> tuple[float, ClassicalStrategy]:
                 p_matrix = np.array([[sol.x[2 * x + a] for a in range(2)] for x in range(3)])
                 best = ClassicalStrategy(p_matrix, np.eye(3)[i], np.eye(3)[j])
     return float(best_value), best
-
-
-def deterministic_encodings() -> list[np.ndarray]:
-    """All {0,1}-valued encodings satisfying both constraints (exactly the
-    all-0 and all-1 encodings; randomized encodings are necessary)."""
-    found = []
-    for bits in range(64):
-        p = np.array([[(bits >> (2 * x + a)) & 1 for a in range(2)] for x in range(3)], dtype=float)
-        rate, pair = encoding_residuals(p)
-        if rate <= 1e-12 and pair <= 1e-12:
-            found.append(p)
-    return found
-
-
-def random_feasible_strategy(rng: np.random.Generator) -> ClassicalStrategy:
-    """Uniform-ish sample from the constraint polytope (rejection on p)."""
-    while True:
-        kappa = rng.uniform()
-        lo, hi = max(0.0, 2.0 * kappa - 1.0), min(1.0, 2.0 * kappa)
-        p00, p10 = rng.uniform(lo, hi, size=2)
-        p20 = 3.0 * kappa - p00 - p10
-        if p20 < lo or p20 > hi:
-            continue
-        p = np.array(
-            [
-                [p00, 2.0 * kappa - p20],
-                [p10, 2.0 * kappa - p00],
-                [p20, 2.0 * kappa - p10],
-            ]
-        )
-        s = rng.dirichlet(np.ones(3))
-        r = rng.dirichlet(np.ones(3))
-        return ClassicalStrategy(p, s, r)

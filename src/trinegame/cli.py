@@ -3,10 +3,13 @@ incompatibility checks, coherence classification.
 
 Curves go to CSV (six decimal places); scalar reports go to JSON records
 {quantity, value, reference_value, tolerance, pass}.  Exit codes: 0 when
-all checks pass, 1 on a failed check or an invalid value or file, 2 on usage
-errors, 3 when a linear program fails numerically (the simplex iteration
-limit, or an optimal point that misses its constraints); codes 1 and 3
-print a one-line ``error:`` message on stderr.  Identical command, flags
+all checks pass; 1 on a failed check or an invalid value or file, such as
+outcome weights that are NaN or leave [0, 1]; 2 on usage errors, among them
+a ``--grid`` that is malformed, non-finite, outside [0, 1] or longer than
+MAX_GRID_POINTS points, ``--polygon-k`` below 3 and ``--samples`` below 1;
+3 when a linear program fails numerically (the simplex iteration limit, or
+an optimal point that misses its constraints).  Codes 1 and 3 print a
+one-line ``error:`` message on stderr.  Identical command, flags
 and seed produce byte-identical output; only ``simulate`` and ``coherence``
 draw random samples from ``--seed``.
 """
@@ -34,17 +37,37 @@ _ANCHORS = {
 }
 
 
+MAX_GRID_POINTS = 10**6
+
+
 def _parse_grid(spec: str) -> list[float]:
     try:
         start, stop, step = (float(part) for part in spec.split(":"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"grid must be start:stop:step, got {spec!r}") from exc
+    if not all(math.isfinite(part) for part in (start, stop, step)):
+        raise argparse.ArgumentTypeError(f"grid parts must be finite, got {spec!r}")
     if step <= 0:
         raise argparse.ArgumentTypeError("grid step must be positive")
     if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
         raise argparse.ArgumentTypeError("grid must lie within [0, 1]")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step + 1e-9
+    if steps >= MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"grid has more than {MAX_GRID_POINTS} points")
+    count = int(np.floor(steps)) + 1
     return [round(start + i * step, 12) for i in range(max(count, 0))]
+
+
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        return int(text)
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _record(quantity: str, value: float, reference, tolerance, passed: bool) -> dict:
@@ -126,7 +149,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_simulate(args) -> int:
     n = args.n
-    report = povm_simulation.verify_simulation(n, tol=args.tol or 1e-12, seed=args.seed)
+    tol = args.tol if args.tol is not None else 1e-12
+    report = povm_simulation.verify_simulation(n, tol=tol, seed=args.seed)
     sim = povm_simulation.simulator_set(n)
     target_ext = povm_simulation.is_extremal_rank_one(povm_simulation.equatorial_povm(n).povm)
     member_ext = [
@@ -251,12 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inc = sub.add_parser("incompat", help="guessing-gap witness and pairwise joint-measurability")
     common(p_inc)
-    p_inc.add_argument("--polygon-k", type=int, default=64)
+    p_inc.add_argument("--polygon-k", type=_int_at_least(3), default=64)
     p_inc.set_defaults(func=cmd_incompat)
 
     p_coh = sub.add_parser("coherence", help="coherence-detection classification checks")
     common(p_coh)
-    p_coh.add_argument("--samples", type=int, default=300)
+    p_coh.add_argument("--samples", type=_int_at_least(1), default=300)
     p_coh.set_defaults(func=cmd_coherence)
 
     return parser

@@ -153,10 +153,3 @@ def shrink_to_feasible(u: np.ndarray) -> np.ndarray:
     nm = np.linalg.norm(m, axis=-1).max(axis=-1)
     scale = np.maximum(1.0, np.maximum(nu, nm))
     return u / scale[..., None, None]
-
-
-def random_feasible_first_blochs(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Sample a=0 Bloch triples satisfying the hiding-constraint feasibility."""
-    u = rng.uniform(-1.0, 1.0, size=(size, 3, 3))
-    u = project_free_blochs(u, iters=60)
-    return shrink_to_feasible(u)

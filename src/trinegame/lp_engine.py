@@ -1,10 +1,11 @@
 """Dense two-phase simplex for small equality-constrained LPs with box bounds.
 
-Maximizes c.x subject to A x = b and l <= x <= u.  Lower bounds are
-shifted to zero; upper bounds are handled natively by the bounded-variable
-rules (nonbasic variables may sit at either bound, with bound flips in the
-ratio test).  Problem sizes here are at most tens of rows and hundreds of
-columns; no sparse machinery is warranted.
+``LpFamily(A, b, l, u)`` is the one LP object: it holds the feasible region
+{A x = b, l <= x <= u}, and ``maximize(c)`` returns the optimum of c.x over
+it.  Lower bounds are shifted to zero; upper bounds are handled natively by
+the bounded-variable rules (nonbasic variables may sit at either bound, with
+bound flips in the ratio test).  Problem sizes here are at most tens of rows
+and hundreds of columns; no sparse machinery is warranted.
 
 Pricing is Dantzig's: the favourable column with the largest |reduced cost|
 enters.  After DEGENERATE_RUN consecutive degenerate steps (step length at
@@ -15,10 +16,12 @@ objective, so no basis repeats and every solve terminates.  In the ratio
 test the smallest basic index leaves among rows whose ratio is within 1e-12
 of the minimum.  Solves are deterministic.
 
-Each "optimal" point is checked against the original equalities: a residual
-|A x - b| above FEASIBILITY_TOL * max(1, |b|_inf) raises LpNumericalError,
-as does the iteration limit, so tableau drift never yields a silent answer.
-Solutions carry their phase-1 and phase-2 pivot counts.
+Inconsistent sizes, a non-finite lower bound or a lower bound above its
+upper bound raise LpDimensionError.  Each "optimal" point is checked against
+the original equalities: a residual |A x - b| above
+FEASIBILITY_TOL * max(1, |b|_inf) raises LpNumericalError, as does the
+iteration limit, so tableau drift never yields a silent answer.  Solutions
+carry their phase-1 and phase-2 pivot counts.
 """
 
 from __future__ import annotations
@@ -40,52 +43,6 @@ class LpDimensionError(ValueError):
 class LpNumericalError(RuntimeError):
     """The simplex hit its iteration limit, or its optimal point fails the
     equality constraints by more than the feasibility tolerance."""
-
-
-@dataclass(frozen=True, eq=False)
-class LinearProgram:
-    """max objective.x  s.t.  eq_matrix x = eq_rhs,  lower <= x <= upper."""
-
-    objective: np.ndarray
-    eq_matrix: np.ndarray
-    eq_rhs: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    names: tuple | None = None
-    row_names: tuple | None = None
-
-    def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float).reshape(-1)
-        a = np.asarray(self.eq_matrix, dtype=float)
-        if a.ndim != 2:
-            a = a.reshape((0, c.size)) if a.size == 0 else np.atleast_2d(a)
-        b = np.asarray(self.eq_rhs, dtype=float).reshape(-1)
-        lo = np.asarray(self.lower, dtype=float).reshape(-1)
-        hi = np.asarray(self.upper, dtype=float).reshape(-1)
-        n = c.size
-        if a.shape[1] != n or b.size != a.shape[0] or lo.size != n or hi.size != n:
-            raise LpDimensionError(
-                f"inconsistent sizes: c={c.size}, A={a.shape}, b={b.size}, l={lo.size}, u={hi.size}"
-            )
-        if not np.all(np.isfinite(lo)):
-            raise LpDimensionError("lower bounds must be finite")
-        if np.any(lo > hi + 1e-15):
-            raise LpDimensionError("lower bound exceeds upper bound")
-        for attr, val in (("objective", c), ("eq_matrix", a), ("eq_rhs", b), ("lower", lo), ("upper", hi)):
-            val.flags.writeable = False
-            object.__setattr__(self, attr, val)
-        if self.names is not None:
-            object.__setattr__(self, "names", tuple(self.names))
-        if self.row_names is not None:
-            object.__setattr__(self, "row_names", tuple(self.row_names))
-
-    @property
-    def n_vars(self) -> int:
-        return self.objective.size
-
-    @property
-    def n_eqs(self) -> int:
-        return self.eq_matrix.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,39 +196,38 @@ class _Dictionary:
         self.is_basic = self.is_basic[:n]
 
 
-def _phase1(a: np.ndarray, b0: np.ndarray, span: np.ndarray) -> tuple[_Dictionary, float]:
-    m, n = a.shape
-    d = _Dictionary(a, b0, span)
-    cost = np.concatenate([np.zeros(n), -np.ones(m)])
-    allowed = np.ones(n + m, dtype=bool)
-    status = d.run(cost, allowed)
-    if status != "optimal":  # pragma: no cover - phase 1 is always bounded
-        raise LpNumericalError("phase 1 unbounded")
-    y = d.point()
-    infeas = float(y[n:].sum())
-    return d, infeas
-
-
 class LpFamily:
-    """Repeated maximization over one feasible region (shared A, b, bounds).
+    """The feasible region {A x = b, l <= x <= u}, maximized over objectives.
 
-    Phase 1 runs once; each objective then starts phase 2 from the stored
-    feasible dictionary.  Used for sweeps where only the objective varies.
+    Construction checks the sizes and bounds, then runs phase 1 once; each
+    ``maximize`` call starts phase 2 from the stored feasible dictionary, so
+    a sweep over objectives shares one phase 1.
     """
 
     def __init__(self, eq_matrix, eq_rhs, lower, upper):
         a = np.atleast_2d(np.asarray(eq_matrix, dtype=float))
         self.lower = np.asarray(lower, dtype=float).reshape(-1)
         self.upper = np.asarray(upper, dtype=float).reshape(-1)
+        n = self.lower.size
         if a.size == 0:
-            a = a.reshape((0, self.lower.size))
+            a = a.reshape((0, n))
         self.a = a
         self.b = np.asarray(eq_rhs, dtype=float).reshape(-1)
-        span = self.upper - self.lower
-        b0 = self.b - a @ self.lower
-        core, infeas = _phase1(a, b0, span)
-        self.phase1_objective = infeas
-        self.feasible = infeas <= FEASIBILITY_TOL
+        if a.shape[1] != n or self.b.size != a.shape[0] or self.upper.size != n:
+            raise LpDimensionError(
+                f"inconsistent sizes: A={a.shape}, b={self.b.size}, l={n}, u={self.upper.size}"
+            )
+        if not np.all(np.isfinite(self.lower)):
+            raise LpDimensionError("lower bounds must be finite")
+        if np.any(self.lower > self.upper + 1e-15):
+            raise LpDimensionError("lower bound exceeds upper bound")
+        # phase 1: maximize minus the sum of the artificial variables
+        core = _Dictionary(a, self.b - a @ self.lower, self.upper - self.lower)
+        cost = np.concatenate([np.zeros(n), -np.ones(a.shape[0])])
+        if core.run(cost, np.ones(cost.size, dtype=bool)) != "optimal":  # pragma: no cover - bounded by 0
+            raise LpNumericalError("phase 1 unbounded")
+        self.phase1_objective = float(core.point()[n:].sum())
+        self.feasible = self.phase1_objective <= FEASIBILITY_TOL
         if self.feasible:
             core.drop_artificials()
             self._core = core
@@ -289,9 +245,7 @@ class LpFamily:
         status = d.run(c, np.ones(d.n_struct, dtype=bool))
         if status == "unbounded":
             return LpSolution("unbounded", float("inf"), None, float("inf"), 0.0, self.phase1_pivots, d.pivots)
-        y = d.point()
-        x = y + self.lower
-        x = np.clip(x, self.lower, self.upper)
+        x = np.clip(d.point() + self.lower, self.lower, self.upper)
         residual = float(np.max(np.abs(self.a @ x - self.b))) if self.a.shape[0] else 0.0
         limit = FEASIBILITY_TOL * max(1.0, float(np.max(np.abs(self.b), initial=0.0)))
         if not residual <= limit:
@@ -299,35 +253,3 @@ class LpFamily:
                 f"simplex point misses the equality constraints by {residual:.3g} (limit {limit:.3g})"
             )
         return LpSolution("optimal", float(c @ x), x, residual, 0.0, self.phase1_pivots, d.pivots)
-
-
-def solve(lp: LinearProgram) -> LpSolution:
-    """Two-phase bounded simplex; see the module docstring for the rules."""
-    family = LpFamily(lp.eq_matrix, lp.eq_rhs, lp.lower, lp.upper)
-    return family.maximize(lp.objective)
-
-
-def format_lp(lp: LinearProgram) -> str:
-    """Plain-text dump, one line per constraint, for audit."""
-    names = lp.names or tuple(f"x{i}" for i in range(lp.n_vars))
-    row_names = lp.row_names or tuple(f"eq{i}" for i in range(lp.n_eqs))
-
-    def comb(coeffs) -> str:
-        parts = []
-        for coef, name in zip(coeffs, names):
-            if abs(coef) < 1e-14:
-                continue
-            mag = abs(coef)
-            term = name if abs(mag - 1.0) < 1e-14 else f"{mag:g} {name}"
-            if not parts:
-                parts.append(term if coef > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if coef > 0 else f"- {term}")
-        return " ".join(parts) if parts else "0"
-
-    lines = [f"maximize: {comb(lp.objective)}"]
-    for rname, row, rhs in zip(row_names, lp.eq_matrix, lp.eq_rhs):
-        lines.append(f"{rname}: {comb(row)} = {rhs:g}")
-    for name, lo, hi in zip(names, lp.lower, lp.upper):
-        lines.append(f"bound: {lo:g} <= {name} <= {hi:g}")
-    return "\n".join(lines)

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lp_engine import FEASIBILITY_TOL, LinearProgram, LpNumericalError, solve
+from .lp_engine import FEASIBILITY_TOL, LpFamily, LpNumericalError
 from .qubit_core import (
     DensityState,
     Effect,
@@ -294,27 +294,31 @@ def _plane_coords(m_first: Povm, m_second: Povm, tol: float = 1e-9) -> np.ndarra
     return np.column_stack([weights, vecs @ basis.T]).reshape(2, 3, 3)
 
 
-def _joint_lp(coords: np.ndarray, generators: np.ndarray) -> LinearProgram:
-    """Feasibility LP of a 3x3 joint POVM with effects in the cone spanned
-    by (1, g) for the given in-plane generator directions g.
+def _joint_lp(generators: np.ndarray) -> np.ndarray:
+    """Constraint matrix of the feasibility LP of a 3x3 joint POVM with
+    effects in the cone spanned by (1, g) for the given in-plane generator
+    directions g; the variables are nonnegative.
 
     Variable (3i + j) * n_gen + m is the weight of (1, g_m) in G_ij; row
     3r + c is component c of marginal r, matched to ``coords.reshape(-1)``.
     """
     cone = np.vstack([np.ones(len(generators)), generators.T])
-    n_vars = 9 * len(generators)
-    return LinearProgram(
-        objective=np.zeros(n_vars),
-        eq_matrix=np.kron(MARGINALS, cone),
-        eq_rhs=coords.reshape(-1),
-        lower=np.zeros(n_vars),
-        upper=np.full(n_vars, np.inf),
-    )
+    return np.kron(MARGINALS, cone)
+
+
+def _cone_feasible(coords: np.ndarray, generators: np.ndarray) -> bool:
+    """Whether the plane coordinates split into a joint POVM in the cone."""
+    a = _joint_lp(generators)
+    zero = np.zeros(a.shape[1])
+    return LpFamily(a, coords.reshape(-1), zero, np.full(zero.size, np.inf)).maximize(zero).status == "optimal"
 
 
 def _polygon_generators(coords: np.ndarray, k: int, radius: float, include_inputs: bool) -> np.ndarray:
     """Vertices of the regular k-gon of the given radius, plus the unit
-    in-plane directions of the nonzero input effects when include_inputs."""
+    in-plane directions of the nonzero input effects when include_inputs.
+    Fewer than three vertices cannot surround the disc, so k < 3 raises."""
+    if k < 3:
+        raise ValueError(f"polygon_k must be at least 3, got {k}")
     angles = 2.0 * np.pi * np.arange(k) / k
     gens = radius * np.column_stack([np.cos(angles), np.sin(angles)])
     if include_inputs:
@@ -332,18 +336,17 @@ def joint_measurability_check(m_first: Povm, m_second: Povm, polygon_k: int = 64
     inscribed polygon cone (feasible implies truly compatible) and by a
     circumscribed one (infeasible implies truly incompatible).  Input effect
     directions are added to the inscribed generators so exact rank-one
-    joints such as G_ij = delta_ij E_i stay representable.
+    joints such as G_ij = delta_ij E_i stay representable.  polygon_k must
+    be at least 3.
     """
     if len(m_first) != 3 or len(m_second) != 3:
         raise ValueError("expected three-outcome measurements")
     coords = _plane_coords(m_first, m_second)
-    inner_gens = _polygon_generators(coords, polygon_k, 1.0, True)
-    inner = solve(_joint_lp(coords, inner_gens)).status == "optimal"
+    inner = _cone_feasible(coords, _polygon_generators(coords, polygon_k, 1.0, True))
     if inner:
         return JointMeasurabilityResult("compatible", True, True, polygon_k)
     outer_radius = 1.0 / np.cos(np.pi / polygon_k)
-    outer_gens = _polygon_generators(coords, polygon_k, outer_radius, False)
-    outer = solve(_joint_lp(coords, outer_gens)).status == "optimal"
+    outer = _cone_feasible(coords, _polygon_generators(coords, polygon_k, outer_radius, False))
     verdict = "incompatible" if not outer else "undecided"
     return JointMeasurabilityResult(verdict, False, outer, polygon_k)
 
@@ -370,7 +373,8 @@ def noise_compatibility_threshold(
     hi = lo + 2^-d, the bracket a bisection on the 2^-d grid returns; (1.0,
     1.0) when eta* reaches 1.  hi is only the first grid point whose
     inscribed-cone LP is infeasible: the pair may still be compatible there,
-    so hi is not a certified incompatible noise level.
+    so hi is not a certified incompatible noise level.  polygon_k must be at
+    least 3.
     """
     # 2**-52 is the spacing of the doubles just below 1: a finer grid has no points there
     if not (np.isfinite(tol) and tol >= 2.0**-52):
@@ -380,17 +384,12 @@ def noise_compatibility_threshold(
     coords = _plane_coords(m_first, m_second)
     weights = coords.copy()
     weights[:, :, 1:] = 0.0
-    cone = _joint_lp(weights, _polygon_generators(coords, polygon_k, 1.0, True))
-    bloch = (coords - weights).reshape(-1, 1)
-    result = solve(
-        LinearProgram(
-            objective=np.append(cone.objective, 1.0),
-            eq_matrix=np.hstack([cone.eq_matrix, -bloch]),
-            eq_rhs=cone.eq_rhs,
-            lower=np.append(cone.lower, 0.0),
-            upper=np.append(cone.upper, 1.0),
-        )
-    )
+    cone = _joint_lp(_polygon_generators(coords, polygon_k, 1.0, True))
+    a = np.hstack([cone, -(coords - weights).reshape(-1, 1)])
+    eta_only = np.zeros(a.shape[1])
+    eta_only[-1] = 1.0  # eta is the last variable, in [0, 1]; the cone weights are unbounded
+    family = LpFamily(a, weights.reshape(-1), np.zeros(eta_only.size), np.where(eta_only > 0, 1.0, np.inf))
+    result = family.maximize(eta_only)
     if result.status != "optimal":
         raise LpNumericalError(f"noise LP ended {result.status}, but eta = 0 is feasible")
     eta = float(result.x[-1])

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lp_engine import LinearProgram, LpFamily, solve
+from .lp_engine import LpFamily
 from .quantum_opt import AlphaTriple
 
 # variable layout: A00,A01,A10,A11,A20,A21, B..., C..., p0,p1,p2, q0,q1,q2
@@ -48,46 +48,43 @@ class NcLpError(RuntimeError):
     """The transcribed constraint system misbehaved (bug guard)."""
 
 
-def _row(entries: dict, rhs: float, name: str):
+def _row(entries: dict, rhs: float):
     coeffs = np.zeros(N_VARS)
     for key, val in entries.items():
         coeffs[_INDEX[key]] = val
-    return coeffs, float(rhs), name
+    return coeffs, float(rhs)
 
 
 def _constraint_rows():
     rows = [
         # region masses of the first equivalent mixture (three pair families)
-        _row({"A00": 1, "A11": 1, "p0": -2}, 0, "pair0_regA"),
-        _row({"A21": 1, "B21": 1, "C10": -1, "p2": 2}, 1, "pair1_mix"),
-        _row({"A20": 1, "B01": -1, "C20": 1, "p1": 2}, 1, "pair2_mix"),
-        _row({"B10": 1, "B21": 1, "p1": -2}, 0, "pair1_regB"),
-        _row({"A00": 1, "B00": 1, "C11": -1, "p2": 2}, 1, "pair0_mix"),
-        _row({"A20": -1, "B01": 1, "C01": 1, "p0": 2}, 1, "pair2_mix2"),
-        _row({"C20": 1, "C01": 1, "p2": -2}, 0, "pair2_regC"),
-        _row({"A11": 1, "B00": -1, "C11": 1, "p1": 2}, 1, "pair0_mix2"),
-        _row({"A21": -1, "B10": 1, "C10": 1, "p0": 2}, 1, "pair1_mix2"),
+        _row({"A00": 1, "A11": 1, "p0": -2}, 0),
+        _row({"A21": 1, "B21": 1, "C10": -1, "p2": 2}, 1),
+        _row({"A20": 1, "B01": -1, "C20": 1, "p1": 2}, 1),
+        _row({"B10": 1, "B21": 1, "p1": -2}, 0),
+        _row({"A00": 1, "B00": 1, "C11": -1, "p2": 2}, 1),
+        _row({"A20": -1, "B01": 1, "C01": 1, "p0": 2}, 1),
+        _row({"C20": 1, "C01": 1, "p2": -2}, 0),
+        _row({"A11": 1, "B00": -1, "C11": 1, "p1": 2}, 1),
+        _row({"A21": -1, "B10": 1, "C10": 1, "p0": 2}, 1),
         # region masses of the second equivalent mixture (a=0 and a=1 triples)
-        _row({"A00": 1, "A20": 1, "B10": -1, "C10": -1, "q0": -3}, -1, "triple0_a0"),
-        _row({"A11": 1, "A21": 1, "B01": -1, "C01": -1, "q0": -3}, -1, "triple0_a1"),
-        _row({"B00": 1, "B10": 1, "C20": -1, "A20": -1, "q1": -3}, -1, "triple1_a0"),
-        _row({"B21": 1, "B01": 1, "A11": -1, "C11": -1, "q1": -3}, -1, "triple1_a1"),
-        _row({"C10": 1, "C20": 1, "B00": -1, "A00": -1, "q2": -3}, -1, "triple2_a0"),
-        _row({"C01": 1, "C21": 1, "B11": -1, "A11": -1, "q2": -3}, -1, "triple2_a1"),
+        _row({"A00": 1, "A20": 1, "B10": -1, "C10": -1, "q0": -3}, -1),
+        _row({"A11": 1, "A21": 1, "B01": -1, "C01": -1, "q0": -3}, -1),
+        _row({"B00": 1, "B10": 1, "C20": -1, "A20": -1, "q1": -3}, -1),
+        _row({"B21": 1, "B01": 1, "A11": -1, "C11": -1, "q1": -3}, -1),
+        _row({"C10": 1, "C20": 1, "B00": -1, "A00": -1, "q2": -3}, -1),
+        _row({"C01": 1, "C21": 1, "B11": -1, "A11": -1, "q2": -3}, -1),
     ]
     # each preparation distributes over the three regions
     for x in range(3):
         for a in range(2):
-            rows.append(_row({f"A{x}{a}": 1, f"B{x}{a}": 1, f"C{x}{a}": 1}, 1, f"norm_{x}{a}"))
-    rows.append(_row({"p0": 1, "p1": 1, "p2": 1}, 1, "norm_p"))
-    rows.append(_row({"q0": 1, "q1": 1, "q2": 1}, 1, "norm_q"))
+            rows.append(_row({f"A{x}{a}": 1, f"B{x}{a}": 1, f"C{x}{a}": 1}, 1))
+    rows.append(_row({"p0": 1, "p1": 1, "p2": 1}, 1))
+    rows.append(_row({"q0": 1, "q1": 1, "q2": 1}, 1))
     return rows
 
 
-_ROWS = _constraint_rows()
-EQ_MATRIX = np.array([r for r, _, _ in _ROWS])
-EQ_RHS = np.array([rhs for _, rhs, _ in _ROWS])
-ROW_NAMES = tuple(name for _, _, name in _ROWS)
+EQ_MATRIX, EQ_RHS = (np.array(part) for part in zip(*_constraint_rows()))
 
 
 def _winning_masses(region: int, outcome: int) -> tuple[str, str]:
@@ -110,28 +107,6 @@ def objective_vector(alpha, assignment=DEFAULT_ASSIGNMENT) -> np.ndarray:
         for name in _winning_masses(region, other):
             c[_INDEX[name]] += (1.0 - alpha[maximized]) / 6.0
     return c
-
-
-def uniform_point_violations(tol: float = 1e-12) -> list[str]:
-    """Rows of the printed system violated by the all-uniform assignment."""
-    point = np.full(N_VARS, 1.0 / 3.0)
-    residuals = np.abs(EQ_MATRIX @ point - EQ_RHS)
-    return [ROW_NAMES[i] for i in np.flatnonzero(residuals > tol)]
-
-
-def build_nc_lp(alpha, assignment=DEFAULT_ASSIGNMENT) -> LinearProgram:
-    violated = uniform_point_violations()
-    if violated:  # pragma: no cover - transcription guard
-        raise NcLpError(f"uniform point violates constraint rows: {violated}")
-    return LinearProgram(
-        objective=objective_vector(alpha, assignment),
-        eq_matrix=EQ_MATRIX,
-        eq_rhs=EQ_RHS,
-        lower=np.zeros(N_VARS),
-        upper=np.ones(N_VARS),
-        names=VARIABLE_NAMES,
-        row_names=ROW_NAMES,
-    )
 
 
 _FAMILY: LpFamily | None = None

@@ -80,9 +80,10 @@ class AlphaTriple:
         vals = tuple(float(a) for a in self.alpha)
         if len(vals) != 3:
             raise ValueError("expected three outcome weights")
-        if any(a < -1e-12 or a > 1.0 + 1e-12 for a in vals):
+        # written so that NaN, which fails every comparison, fails the checks
+        if not all(-1e-12 <= a <= 1.0 + 1e-12 for a in vals):
             raise ValueError(f"outcome weights {vals} leave [0, 1]")
-        if abs(sum(vals) - 2.0) > 1e-9:
+        if not abs(sum(vals) - 2.0) <= 1e-9:
             raise ValueError(f"outcome weights {vals} do not sum to 2")
         object.__setattr__(self, "alpha", vals)
 

@@ -178,10 +178,6 @@ def born_probability(state: DensityState, effect: Effect) -> float:
     return float(effect.weight + effect.vec @ state.bloch)
 
 
-def outcome_probabilities(state: DensityState, povm: Povm) -> np.ndarray:
-    return np.array([born_probability(state, e) for e in povm.effects])
-
-
 def projector_effect(direction, alpha: float = 1.0) -> Effect:
     """Effect alpha * |psi><psi| with |psi> along the given Bloch direction."""
     d = np.asarray(direction, dtype=float)

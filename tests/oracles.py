@@ -7,12 +7,17 @@ oracle enumerates basic points of small box LPs directly.  The quantum
 value has a closed form on the whole weight triangle, and the measurement
 subproblem's dual is minimized by ``scipy.optimize.minimize``.  The noise
 threshold's bisection over joint-measurability checks is the reference for
-the single parametric LP that replaced it.
+the single parametric LP that replaced it.  The samplers and enumerations
+at the end generate test inputs from the library's own types.
 """
 
 from itertools import combinations, product
 
 import numpy as np
+
+from trinegame.classical_bound import ClassicalStrategy, encoding_residuals
+from trinegame.game import project_free_blochs, shrink_to_feasible
+from trinegame.qubit_core import DensityState, Povm, born_probability
 
 SIGMA = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -147,3 +152,47 @@ def noise_threshold_by_bisection(m_first, m_second, polygon_k: int = 64, tol: fl
         else:
             hi = mid
     return lo, hi
+
+
+def deterministic_encodings() -> list[np.ndarray]:
+    """All {0,1}-valued encodings satisfying both constraints (exactly the
+    all-0 and all-1 encodings; randomized encodings are necessary)."""
+    found = []
+    for bits in range(64):
+        p = np.array([[(bits >> (2 * x + a)) & 1 for a in range(2)] for x in range(3)], dtype=float)
+        rate, pair = encoding_residuals(p)
+        if rate <= 1e-12 and pair <= 1e-12:
+            found.append(p)
+    return found
+
+
+def random_feasible_strategy(rng: np.random.Generator) -> ClassicalStrategy:
+    """Uniform-ish sample from the constraint polytope (rejection on p)."""
+    while True:
+        kappa = rng.uniform()
+        lo, hi = max(0.0, 2.0 * kappa - 1.0), min(1.0, 2.0 * kappa)
+        p00, p10 = rng.uniform(lo, hi, size=2)
+        p20 = 3.0 * kappa - p00 - p10
+        if p20 < lo or p20 > hi:
+            continue
+        p = np.array(
+            [
+                [p00, 2.0 * kappa - p20],
+                [p10, 2.0 * kappa - p00],
+                [p20, 2.0 * kappa - p10],
+            ]
+        )
+        s = rng.dirichlet(np.ones(3))
+        r = rng.dirichlet(np.ones(3))
+        return ClassicalStrategy(p, s, r)
+
+
+def random_feasible_first_blochs(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Sample a=0 Bloch triples satisfying the hiding-constraint feasibility."""
+    u = rng.uniform(-1.0, 1.0, size=(size, 3, 3))
+    u = project_free_blochs(u, iters=60)
+    return shrink_to_feasible(u)
+
+
+def outcome_probabilities(state: DensityState, povm: Povm) -> np.ndarray:
+    return np.array([born_probability(state, e) for e in povm.effects])

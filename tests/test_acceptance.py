@@ -10,14 +10,11 @@ from trinegame import classical_bound, measurement_classicality as mc, nc_bound,
 from trinegame.game import (
     check_parity_concealment,
     derived_second_blochs,
-    random_feasible_first_blochs,
     success_probability,
 )
-from trinegame.lp_engine import solve
 from trinegame.qubit_core import (
     DensityState,
     born_probability,
-    outcome_probabilities,
     povm_from_weighted_projectors,
     random_povm,
     random_state,
@@ -110,7 +107,7 @@ def test_criterion_05_classical_bound(classical_optimum):
     ok_value = abs(value - 7 / 12) <= 1e-9
     rng = np.random.default_rng(515)
     worst = max(
-        classical_bound.classical_value(classical_bound.random_feasible_strategy(rng))
+        classical_bound.classical_value(oracles.random_feasible_strategy(rng))
         for _ in range(10_000)
     )
     ok_samples = worst <= 7 / 12 + 1e-9
@@ -221,20 +218,20 @@ def test_criterion_12_property_suites():
     rng = np.random.default_rng(1212)
     born_ok = True
     for _ in range(1000):
-        probs = outcome_probabilities(random_state(rng), random_povm(rng, 3))
+        probs = oracles.outcome_probabilities(random_state(rng), random_povm(rng, 3))
         born_ok &= bool(np.all(probs >= -1e-12) and abs(probs.sum() - 1) <= 1e-12)
 
     lp_ok = True
     from test_lp_engine import random_feasible_lp
 
     for _ in range(100):
-        lp = random_feasible_lp(rng)
-        mine = solve(lp).value
-        ref = oracles.lp_best_vertex_value(lp.objective, lp.eq_matrix, lp.eq_rhs, lp.lower, lp.upper)
+        c, lp = random_feasible_lp(rng)
+        mine = lp.maximize(c).value
+        ref = oracles.lp_best_vertex_value(c, lp.a, lp.b, lp.lower, lp.upper)
         lp_ok &= abs(mine - ref) <= 1e-9
 
     n = 10_000
-    u = random_feasible_first_blochs(rng, n)
+    u = oracles.random_feasible_first_blochs(rng, n)
     m = derived_second_blochs(u)
     w = rng.dirichlet(np.ones(3), size=n)
     radii = np.minimum(w, 1 - w)

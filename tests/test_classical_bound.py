@@ -8,10 +8,10 @@ from trinegame.classical_bound import (
     ClassicalStrategy,
     EncodingConstraintError,
     classical_value,
-    deterministic_encodings,
     optimize_classical,
-    random_feasible_strategy,
 )
+
+import oracles
 
 
 def game_simulation_value(strategy) -> float:
@@ -44,7 +44,7 @@ class TestClassicalValue:
     def test_identical_decodings_collapse_to_one_third(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            st = random_feasible_strategy(rng)
+            st = oracles.random_feasible_strategy(rng)
             same = ClassicalStrategy(st.p, st.s, st.s)
             assert classical_value(same) == pytest.approx(1 / 3, abs=1e-12)
 
@@ -56,7 +56,7 @@ class TestClassicalValue:
     def test_matches_game_simulation_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(300):
-            st = random_feasible_strategy(rng)
+            st = oracles.random_feasible_strategy(rng)
             assert classical_value(st) == pytest.approx(game_simulation_value(st), abs=1e-13)
 
 
@@ -76,12 +76,12 @@ class TestOptimum:
         assert classical_value(shifted) == pytest.approx(value, abs=1e-12)
 
     def test_deterministic_encodings_are_trivial(self):
-        found = deterministic_encodings()
+        found = oracles.deterministic_encodings()
         assert len(found) == 2
         assert any(np.all(p == 0) for p in found)
         assert any(np.all(p == 1) for p in found)
 
     def test_ten_thousand_random_strategies_respect_bound(self):
         rng = np.random.default_rng(99)
-        values = [classical_value(random_feasible_strategy(rng)) for _ in range(10_000)]
+        values = [classical_value(oracles.random_feasible_strategy(rng)) for _ in range(10_000)]
         assert max(values) <= CLASSICAL_OPTIMUM + 1e-9

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from trinegame import lp_engine
-from trinegame.cli import main
+from trinegame.cli import MAX_GRID_POINTS, _parse_grid, main
 
 
 def run(argv, tmp_path, name):
@@ -52,6 +52,23 @@ class TestCurve:
             main(["curve", "--grid", "nonsense"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("grid", ["0:1:inf", "nan:1:0.1", "0:inf:0.1", "0:1:1e-300", "0:1:1e-6"])
+    def test_non_finite_or_oversized_grid_is_usage_error(self, grid):
+        # 0:1:1e-6 has 10**6 + 1 points, one more than the limit
+        with pytest.raises(SystemExit) as exc:
+            main(["curve", "--grid", grid])
+        assert exc.value.code == 2
+
+    def test_largest_grid_is_accepted(self):
+        grid = _parse_grid(f"0:1:{1 / (MAX_GRID_POINTS - 1)!r}")
+        assert len(grid) == MAX_GRID_POINTS and grid[-1] == 1.0
+
+    def test_nan_weight_is_an_invalid_value(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        assert main(["curve", "--alpha0", "nan", "--out", str(out)]) == 1
+        assert "outcome weights (nan, nan, nan) leave [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBounds:
     def test_symmetric_anchor_report(self, tmp_path):
@@ -70,6 +87,12 @@ class TestBounds:
         for record in payload["results"]:
             assert set(record) == {"quantity", "value", "reference_value", "tolerance", "pass"}
 
+
+    def test_nan_weight_is_an_invalid_value(self, capsys):
+        assert main(["bounds", "--alpha0", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: outcome weights (nan, nan, nan) leave [0, 1]\n"
 
     @pytest.mark.parametrize("alpha0", ["0", "0.925"])
     def test_upper_record_brackets_p_q(self, tmp_path, alpha0):
@@ -93,6 +116,12 @@ class TestSimulate:
         assert values["target_extremal"] == 0.0
         assert values["members_extremal"] == 1.0
 
+    def test_zero_tolerance_is_kept(self, tmp_path):
+        code, data = run(["simulate", "5", "--tol", "0"], tmp_path, "sim.json")
+        records = {r["quantity"]: r for r in json.loads(data)["results"]}
+        assert records["element_residual"]["tolerance"] == 0.0
+        assert code == (0 if records["element_residual"]["value"] == 0.0 else 1)
+
 
 class TestIncompat:
     def test_full_report_passes(self, tmp_path):
@@ -113,6 +142,12 @@ class TestIncompat:
         assert err == "error: simplex iteration limit exceeded\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("polygon_k", ["2", "0"])
+    def test_polygon_below_three_vertices_is_usage_error(self, polygon_k):
+        with pytest.raises(SystemExit) as exc:
+            main(["incompat", "--polygon-k", polygon_k])
+        assert exc.value.code == 2
+
 
 class TestCoherence:
     def test_classification_report(self, tmp_path):
@@ -123,6 +158,12 @@ class TestCoherence:
         assert values["trine_free_any_basis"] == 0.0
         assert values["degenerate_sharp_free"] == 1.0
         assert values["formulations_agree"] == 60
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_non_positive_samples_is_usage_error(self, samples):
+        with pytest.raises(SystemExit) as exc:
+            main(["coherence", "--samples", samples])
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(

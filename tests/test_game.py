@@ -12,7 +12,6 @@ from trinegame.game import (
     derived_second_blochs,
     free_blochs_from_derived,
     project_free_blochs,
-    random_feasible_first_blochs,
     success_probability,
 )
 from trinegame.qubit_core import (
@@ -108,7 +107,7 @@ class TestCompletePreparations:
 
     def test_completion_always_passes_concealment(self):
         rng = np.random.default_rng(11)
-        u = random_feasible_first_blochs(rng, 200)
+        u = oracles.random_feasible_first_blochs(rng, 200)
         for k in range(200):
             preps = complete_preparations([DensityState(u[k, x]) for x in range(3)])
             report = check_parity_concealment(preps)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trinegame import measurement_classicality
-from trinegame.lp_engine import LpNumericalError
+from trinegame.lp_engine import LpFamily, LpNumericalError
 from trinegame.measurement_classicality import (
     CoplanarityError,
     PartitionedEnsemble,
@@ -44,15 +44,15 @@ M0, M1 = SIM5.members[0].povm, SIM5.members[1].povm
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Every LpSolution the module's LPs return, in call order."""
+    """Every LpSolution that LpFamily.maximize returns, in call order."""
     solutions = []
-    solve = measurement_classicality.solve
+    maximize = LpFamily.maximize
 
-    def recording_solve(lp):
-        solutions.append(solve(lp))
+    def recording_maximize(family, objective):
+        solutions.append(maximize(family, objective))
         return solutions[-1]
 
-    monkeypatch.setattr(measurement_classicality, "solve", recording_solve)
+    monkeypatch.setattr(LpFamily, "maximize", recording_maximize)
     return solutions
 
 
@@ -265,8 +265,8 @@ class TestJointMeasurability:
         gens = mc._polygon_generators(coords, 8, 1.0, True)
         n_gen = len(gens)
         assert n_gen == 8 + 6
-        lp = mc._joint_lp(coords, gens)
-        assert np.array_equal(lp.eq_rhs, coords.reshape(-1))
+        a = mc._joint_lp(gens)
+        assert a.shape == (18, 9 * n_gen)
         rng = np.random.default_rng(17)
         for _ in range(5):
             x = rng.uniform(size=9 * n_gen)
@@ -277,7 +277,7 @@ class TestJointMeasurability:
                         joint[i, j] += x[(3 * i + j) * n_gen + m] * np.array([1.0, gens[m, 0], gens[m, 1]])
             first = [sum(joint[i, j] for j in range(3)) for i in range(3)]
             second = [sum(joint[i, j] for i in range(3)) for j in range(3)]
-            assert np.allclose(lp.eq_matrix @ x, np.concatenate(first + second), rtol=0, atol=1e-12)
+            assert np.allclose(a @ x, np.concatenate(first + second), rtol=0, atol=1e-12)
 
     def test_k64_check_pivot_count(self, solves):
         # 1,885 pivots under Bland's rule alone; Dantzig pricing needs 66
@@ -353,6 +353,15 @@ class TestJointMeasurability:
             rounded_to_one += 0.0 < 1.0 - eta <= 1e-12
         assert compatible_at_one >= 5 and rounded_to_one >= 1, (compatible_at_one, rounded_to_one)
         assert bisection_failures <= 3
+
+    @pytest.mark.parametrize("polygon_k", [-1, 0, 1, 2])
+    def test_polygons_below_three_vertices_rejected(self, polygon_k):
+        # one or two "circumscribed" points do not contain the disc, so an
+        # infeasible outer LP would certify nothing
+        with pytest.raises(ValueError, match="polygon_k must be at least 3"):
+            joint_measurability_check(M0, M1, polygon_k)
+        with pytest.raises(ValueError, match="polygon_k must be at least 3"):
+            noise_compatibility_threshold(M0, M1, polygon_k)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-4, np.nan, np.inf, 1e-17])
     def test_noise_threshold_rejects_bad_tol(self, tol):

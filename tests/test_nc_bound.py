@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from trinegame import nc_bound
-from trinegame.lp_engine import format_lp, solve
+from trinegame.lp_engine import LpFamily
 from trinegame.nc_bound import (
     DEFAULT_ASSIGNMENT,
     EQ_MATRIX,
+    EQ_RHS,
     N_VARS,
     TRIANGLE_VERTICES,
     VARIABLE_NAMES,
     assignment_patterns,
-    build_nc_lp,
     nc_global_max,
     nc_value,
     nc_value_all_assignments,
     objective_vector,
-    uniform_point_violations,
 )
 from trinegame.quantum_opt import AlphaTriple, QUANTUM_OPTIMUM, optimize_quantum
 
@@ -26,22 +25,19 @@ SYMMETRIC = (2 / 3, 2 / 3, 2 / 3)
 
 class TestStructure:
     def test_counts(self):
-        lp = build_nc_lp(SYMMETRIC)
-        assert lp.n_vars == 24
-        assert lp.n_eqs == 23
+        assert EQ_MATRIX.shape == (23, 24)
+        assert EQ_RHS.shape == (23,)
+        assert objective_vector(SYMMETRIC).shape == (N_VARS,) == (24,)
         assert len(VARIABLE_NAMES) == N_VARS
 
     def test_uniform_point_is_feasible(self):
-        assert uniform_point_violations() == []
+        residuals = np.abs(EQ_MATRIX @ np.full(N_VARS, 1 / 3) - EQ_RHS)
+        assert np.flatnonzero(residuals > 1e-12).tolist() == []
 
     def test_uniform_point_objective_value(self):
         # (1/6) [ (2/3)(2/3)*3 + (1/3)(2/3)*3 ] = 1/3 at the symmetric weights
         c = objective_vector(SYMMETRIC)
         assert float(c @ np.full(N_VARS, 1 / 3)) == pytest.approx(1 / 3, abs=1e-15)
-
-    def test_dump_is_labeled(self):
-        text = format_lp(build_nc_lp(SYMMETRIC))
-        assert "A00" in text and "norm_p" in text
 
 
 class TestAnchors:
@@ -54,7 +50,8 @@ class TestAnchors:
 
     def test_direct_solve_matches_family_path(self):
         for alpha in (SYMMETRIC, (0.8, 0.6, 0.6)):
-            assert solve(build_nc_lp(alpha)).value == pytest.approx(nc_value(alpha), abs=1e-10)
+            cold = LpFamily(EQ_MATRIX, EQ_RHS, np.zeros(N_VARS), np.ones(N_VARS))
+            assert cold.maximize(objective_vector(alpha)).value == pytest.approx(nc_value(alpha), abs=1e-10)
 
     def test_curve_difference_of_anchors(self, curve_rows):
         vals = {}

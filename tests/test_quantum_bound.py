@@ -11,16 +11,18 @@ import pytest
 
 import trinegame
 from trinegame import quantum_bound, quantum_opt
-from trinegame.game import derived_second_blochs, random_feasible_first_blochs, success_probability
+from trinegame.game import derived_second_blochs, success_probability
 from trinegame.quantum_opt import BRACKET_TOL, QUANTUM_OPTIMUM, AlphaTriple, quantum_value
 from trinegame.qubit_core import zero_sum_alignment
+
+import oracles
 
 
 class TestCertificate:
     def test_quadratic_program_reproduces_random_strategies(self):
         rng = np.random.default_rng(1618)
         n = 1000
-        u = random_feasible_first_blochs(rng, n)
+        u = oracles.random_feasible_first_blochs(rng, n)
         m = derived_second_blochs(u)
         beta = rng.dirichlet(np.ones(3), size=n)
         beta[::50] = np.eye(3)[rng.integers(0, 3, size=n // 50)]  # vertices: one alpha_b = 0
@@ -46,7 +48,7 @@ class TestCertificate:
         rng = np.random.default_rng(7)
         al = AlphaTriple(alpha).as_array()
         upper = quantum_value(alpha).upper
-        u = random_feasible_first_blochs(rng, 300)
+        u = oracles.random_feasible_first_blochs(rng, 300)
         # the best measurement for each sampled preparation triple
         y = zero_sum_alignment(quantum_opt._pair_sums(u), al)
         best = max(success_probability(quantum_opt._strategy(u[k], y[k], al)) for k in range(300))

@@ -10,7 +10,6 @@ from trinegame.cli import _parse_grid
 from trinegame.game import (
     check_parity_concealment,
     derived_second_blochs,
-    random_feasible_first_blochs,
     success_probability,
 )
 from trinegame.quantum_opt import (
@@ -53,6 +52,11 @@ class TestAlphaTriple:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             AlphaTriple((1.2, 0.4, 0.4))
+
+    @pytest.mark.parametrize("alpha", [(np.nan, 1.0, 1.0), (np.nan,) * 3, (1.0, 1.0, np.nan)])
+    def test_rejects_nan(self, alpha):
+        with pytest.raises(ValueError, match=r"leave \[0, 1\]"):
+            AlphaTriple(alpha)
 
 
 class TestAnalyticStrategy:
@@ -233,7 +237,7 @@ class TestRandomCertifiedStrategiesProperty:
     def test_ten_thousand_samples_respect_ceiling(self):
         rng = np.random.default_rng(2718)
         n = 10_000
-        u = random_feasible_first_blochs(rng, n)
+        u = oracles.random_feasible_first_blochs(rng, n)
         m = derived_second_blochs(u)
         # random POVMs: Dirichlet weights, zero-sum clipped Bloch parts
         w = rng.dirichlet(np.ones(3), size=n)

