@@ -4,14 +4,15 @@ incompatibility checks, coherence classification.
 Curves go to CSV (six decimal places); scalar reports go to JSON records
 {quantity, value, reference_value, tolerance, pass}.  Exit codes: 0 when
 all checks pass; 1 on a failed check or an invalid value or file, such as
-outcome weights that are NaN or leave [0, 1]; 2 on usage errors, among them
-a ``--grid`` that is malformed, non-finite, outside [0, 1] or longer than
-MAX_GRID_POINTS points, ``--polygon-k`` below 3 and ``--samples`` below 1;
-3 when a linear program fails numerically (the simplex iteration limit, or
-an optimal point that misses its constraints).  Codes 1 and 3 print a
-one-line ``error:`` message on stderr.  Identical command, flags
-and seed produce byte-identical output; only ``simulate`` and ``coherence``
-draw random samples from ``--seed``.
+outcome weights that are NaN or leave [0, 1], or a ``curve`` row whose p_q
+is not certified within BRACKET_TOL (no CSV is written); 2 on usage errors,
+among them a ``--grid`` that is malformed, non-finite, outside [0, 1] or
+longer than MAX_GRID_POINTS points, ``--polygon-k`` below 3 and
+``--samples`` below 1; 3 when a linear program fails numerically (the
+simplex iteration limit, or an optimal point that misses its constraints).
+Codes 1 and 3 print a one-line ``error:`` message on stderr.  Identical
+command, flags and seed produce byte-identical output; only ``simulate``
+and ``coherence`` draw random samples from ``--seed``.
 """
 
 from __future__ import annotations
@@ -86,6 +87,12 @@ def _round_up(exact) -> float:
     return value if value >= exact else math.nextafter(value, math.inf)
 
 
+def _checked_upper(quantum: quantum_opt.QuantumValue) -> tuple[float | None, bool]:
+    """``quantum.upper`` rounded up, and whether it is within BRACKET_TOL above ``lower``."""
+    upper = None if quantum.upper is None else _round_up(quantum.upper)
+    return upper, upper is not None and 0.0 <= upper - quantum.lower <= quantum_opt.BRACKET_TOL
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -107,7 +114,10 @@ def cmd_curve(args) -> int:
     lines = [header]
     for alpha0 in grid:
         alpha = AlphaTriple.symmetric(alpha0)
-        row = f"{alpha0:.6f},{quantum_opt.quantum_value(alpha).lower:.6f},{nc_bound.nc_value(alpha):.6f}"
+        quantum = quantum_opt.quantum_value(alpha)
+        if not _checked_upper(quantum)[1]:
+            raise ValueError(f"p_q at alpha0 = {alpha0:g} has no certified upper bound within BRACKET_TOL")
+        row = f"{alpha0:.6f},{quantum.lower:.6f},{nc_bound.nc_value(alpha):.6f}"
         if args.include_classical:
             row += f",{CLASSICAL_REF:.6f}"
         lines.append(row)
@@ -119,7 +129,7 @@ def cmd_bounds(args) -> int:
     alpha = AlphaTriple.symmetric(args.alpha0)
     quantum = quantum_opt.quantum_value(alpha)
     p_q = quantum.lower
-    p_q_upper = None if quantum.upper is None else _round_up(quantum.upper)
+    p_q_upper, bracketed = _checked_upper(quantum)
     p_nc = nc_bound.nc_value(alpha)
     p_c, _ = classical_bound.optimize_classical()
 
@@ -134,10 +144,7 @@ def cmd_bounds(args) -> int:
             "p_q", p_q, refs[0] if refs else None, tol_q if refs else None,
             abs(p_q - refs[0]) <= tol_q if refs else True,
         ),
-        _record(
-            "p_q_upper", p_q_upper, p_q, quantum_opt.BRACKET_TOL,
-            p_q_upper is not None and 0.0 <= p_q_upper - p_q <= quantum_opt.BRACKET_TOL,
-        ),
+        _record("p_q_upper", p_q_upper, p_q, quantum_opt.BRACKET_TOL, bracketed),
         _record(
             "p_nc", p_nc, refs[1] if refs else None, tol_exact if refs else None,
             abs(p_nc - refs[1]) <= tol_exact if refs else True,

@@ -5,18 +5,22 @@ operator as an explicit complex 2x2 matrix so eigenvalues, traces and Born
 probabilities can be cross-checked against numpy's eigensolver.  The LP
 oracle enumerates basic points of small box LPs directly.  The quantum
 value has a closed form on the whole weight triangle, and the measurement
-subproblem's dual is minimized by ``scipy.optimize.minimize``.  The noise
-threshold's bisection over joint-measurability checks is the reference for
-the single parametric LP that replaced it.  The samplers and enumerations
-at the end generate test inputs from the library's own types.
+subproblem's dual is minimized by ``scipy.optimize.minimize``.  The exact
+dual certificate of the quantum value is rebuilt in ``Fraction`` arithmetic
+and tested by LDL^T.  The noise threshold's bisection over
+joint-measurability checks is the reference for the single parametric LP
+that replaced it.  The samplers and enumerations at the end generate test
+inputs from the library's own types.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 
 from trinegame.classical_bound import ClassicalStrategy, encoding_residuals
 from trinegame.game import project_free_blochs, shrink_to_feasible
+from trinegame.quantum_bound import CERT_EPS
 from trinegame.qubit_core import DensityState, Povm, born_probability
 
 SIGMA = (
@@ -113,6 +117,31 @@ def quantum_value_closed_form(alpha) -> float:
         return 5.0 / 6.0 - a_max / 4.0
     heron = np.sqrt((1.0 - a_min) * (1.0 - a_mid) * (1.0 - a_max))
     return 1.0 / 3.0 + np.sqrt(4.5 * (a_min**2 + a_mid**2 + a_max**2) + 18.0 * np.sqrt(3.0) * heron) / 12.0
+
+
+def positive_definite_ldl(matrix) -> bool:
+    """Exact LDL^T of a symmetric matrix: True when every pivot is positive."""
+    m = [list(row) for row in matrix]
+    n = len(m)
+    for k in range(n):
+        if m[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            factor = m[i][k] / m[k][k]
+            for j in range(k + 1, n):
+                m[i][j] -= factor * m[k][j]
+    return True
+
+
+def certified_upper(qp, bounds, constant, mu) -> Fraction | None:
+    """``quantum_bound._certified_upper`` in ``Fraction`` arithmetic: the
+    dual matrix sum_i lambda_i C_i - A with lambda = mu + eps, C_i = rows_i
+    rows_i^T, built from exact rationals and tested by LDL^T."""
+    rows = qp.thrice_rows * Fraction(1, 3)
+    lam = np.array([Fraction(float(m)) for m in mu], dtype=object) + Fraction(CERT_EPS)
+    if not positive_definite_ldl((rows.T * lam) @ rows - qp.twice_objective * Fraction(1, 2)):
+        return None
+    return constant + lam @ np.array(bounds, dtype=object) / 12
 
 
 def weighted_median_value(c, r) -> float:

@@ -1,10 +1,11 @@
 """Command-line interface: formats, determinism, exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from trinegame import lp_engine
+from trinegame import lp_engine, quantum_bound
 from trinegame.cli import MAX_GRID_POINTS, _parse_grid, main
 
 
@@ -69,6 +70,17 @@ class TestCurve:
         assert "outcome weights (nan, nan, nan) leave [0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("upper", [None, Fraction(1), Fraction(1, 2)])
+    def test_uncertified_row_is_a_failed_check(self, tmp_path, monkeypatch, capsys, upper):
+        # no bound, one wider than BRACKET_TOL, one below the lower value
+        monkeypatch.setattr(quantum_bound, "certify", lambda alpha, strategy: upper)
+        out = tmp_path / "curve.csv"
+        assert main(["curve", "--grid", "0.5:1:0.1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: p_q at alpha0 = 0.5 has no certified upper bound within BRACKET_TOL\n"
+        )
+        assert not out.exists()
+
 
 class TestBounds:
     def test_symmetric_anchor_report(self, tmp_path):
@@ -93,6 +105,14 @@ class TestBounds:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: outcome weights (nan, nan, nan) leave [0, 1]\n"
+
+    def test_missing_upper_bound_fails_its_record(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(quantum_bound, "certify", lambda alpha, strategy: None)
+        code, data = run(["bounds"], tmp_path, "bounds.json")
+        assert code == 1
+        records = {r["quantity"]: r for r in json.loads(data)["results"]}
+        assert records["p_q_upper"]["value"] is None and not records["p_q_upper"]["pass"]
+        assert all(r["pass"] for q, r in records.items() if q != "p_q_upper")
 
     @pytest.mark.parametrize("alpha0", ["0", "0.925"])
     def test_upper_record_brackets_p_q(self, tmp_path, alpha0):
