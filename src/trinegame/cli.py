@@ -218,7 +218,7 @@ def random_collinear_povm(rng: np.random.Generator):
 
 
 def cmd_coherence(args) -> int:
-    from .qubit_core import povm_from_weighted_projectors, random_povm, xz_direction
+    from .qubit_core import povm_from_weighted_projectors, random_povms, xz_direction
 
     trine = povm_from_weighted_projectors(
         [2.0 / 3.0] * 3, [xz_direction(2 * np.pi * b / 3) for b in range(3)]
@@ -233,9 +233,10 @@ def cmd_coherence(args) -> int:
     degenerate_free = mc.is_free_in_any_basis(degenerate_sharp).free_in_some_basis
 
     rng = np.random.default_rng(args.seed)
+    samples = random_povms(rng, (args.samples + 1) // 2, 3)
+    samples += [random_collinear_povm(rng) for _ in range(args.samples // 2)]
     agree = 0
-    for idx in range(args.samples):
-        povm = random_collinear_povm(rng) if idx % 2 else random_povm(rng, 3)
+    for povm in samples:
         a = mc.all_effects_collinear(povm)
         b = mc.is_free_in_any_basis(povm).free_in_some_basis
         agree += a == b

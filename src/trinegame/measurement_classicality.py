@@ -134,20 +134,6 @@ def prior_guess(ensemble: PartitionedEnsemble, m_first: Povm, m_second: Povm) ->
 # minimum enclosing ball (exact dual of the post-measurement problem)
 
 
-def _circumcenter(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Center equidistant from k affinely independent points (k = 3, 4) and
-    its barycentric weights t: center = t @ points with sum t = 1."""
-    base = points[0]
-    rel = points[1:] - base
-    gram = rel @ rel.T
-    rhs = 0.5 * np.einsum("ij,ij->i", rel, rel)
-    det = np.linalg.det(gram)
-    if abs(det) < 1e-18:
-        return None
-    coeffs = np.linalg.solve(gram, rhs)
-    return base + coeffs @ rel, np.concatenate(([1.0 - coeffs.sum()], coeffs))
-
-
 class EnclosingBall(NamedTuple):
     """Ball of the given center and radius; its center is the convex
     combination ``weights`` (>= 0, summing to 1) of the points ``support``,
@@ -164,8 +150,12 @@ def min_enclosing_ball(points: np.ndarray) -> EnclosingBall:
 
     The optimal center is a convex combination of at most four points on
     the ball's boundary; all pairs, triples and quadruples are tried (point
-    counts here are <= 9), and a candidate counts only when its center lies
-    in the convex hull of its points.
+    counts here are <= 9), each size as one stack of arrays.  A triple or
+    quadruple's center is its circumcenter base + coeffs @ rel, from the
+    Gram system of its points relative to the first one (skipped when the
+    determinant is below 1e-18).  A candidate counts only when its center
+    lies in the convex hull of its points; in enumeration order, it
+    replaces the best one so far when its radius is smaller by 1e-15.
     """
     pts = np.asarray(points, dtype=float)
     k = len(pts)
@@ -175,18 +165,26 @@ def min_enclosing_ball(points: np.ndarray) -> EnclosingBall:
         return EnclosingBall(pts[0].copy(), 0.0, (0,), np.ones(1))
     best = EnclosingBall(None, np.inf, (), np.zeros(0))
     for size in (2, 3, 4):
-        for idx in combinations(range(k), size):
-            sub = pts[list(idx)]
-            if size == 2:
-                center, weights = 0.5 * (sub[0] + sub[1]), np.full(2, 0.5)
-            else:
-                found = _circumcenter(sub)
-                if found is None:
-                    continue
-                center, weights = found
-            r = float(np.max(np.linalg.norm(pts - center, axis=1)))
-            if r < best.radius - 1e-15 and weights.min() >= -1e-12:
-                best = EnclosingBall(center, r, idx, weights)
+        subsets = np.array(list(combinations(range(k), size)), dtype=np.intp).reshape(-1, size)
+        sub = pts[subsets]
+        if size == 2:
+            centers = 0.5 * (sub[:, 0] + sub[:, 1])
+            weights = np.full((len(sub), 2), 0.5)
+        else:
+            base = sub[:, 0]
+            rel = sub[:, 1:] - base[:, None, :]
+            gram = rel @ rel.transpose(0, 2, 1)
+            rhs = 0.5 * np.einsum("nij,nij->ni", rel, rel)
+            solvable = ~(np.abs(np.linalg.det(gram)) < 1e-18)
+            subsets, base, rel = subsets[solvable], base[solvable], rel[solvable]
+            coeffs = np.linalg.solve(gram[solvable], rhs[solvable][..., None])[..., 0]
+            centers = base + np.matmul(coeffs[:, None, :], rel)[:, 0]
+            weights = np.concatenate([1.0 - coeffs.sum(axis=1, keepdims=True), coeffs], axis=1)
+        radii = np.linalg.norm(pts - centers[:, None, :], axis=2).max(axis=1)
+        hulled = np.flatnonzero(weights.min(axis=1) >= -1e-12)
+        for i, r in zip(hulled.tolist(), radii[hulled].tolist()):
+            if r < best.radius - 1e-15:
+                best = EnclosingBall(centers[i], r, tuple(subsets[i].tolist()), weights[i])
     return best
 
 
@@ -449,10 +447,10 @@ def is_free_povm(povm: Povm, basis_direction, tol: float = 1e-9) -> FreePovmRepo
 
 def all_effects_collinear(povm: Povm, tol: float = 1e-9) -> bool:
     """Pairwise cross products of effect Bloch vectors vanish."""
-    vecs = [e.vec for e in povm.effects]
-    return all(
-        float(np.linalg.norm(np.cross(u, v))) <= tol for u, v in combinations(vecs, 2)
-    )
+    vecs = np.array([e.vec for e in povm.effects])
+    pairs = np.array(list(combinations(range(len(vecs)), 2)), dtype=np.intp).reshape(-1, 2)
+    crosses = np.cross(vecs[pairs[:, 0]], vecs[pairs[:, 1]])
+    return bool(np.all(np.linalg.norm(crosses, axis=1) <= tol))
 
 
 @dataclass(frozen=True, eq=False)

@@ -280,24 +280,39 @@ def random_state(rng: np.random.Generator, pure: bool = False) -> DensityState:
     return DensityState(v)
 
 
-def random_povm(rng: np.random.Generator, n_outcomes: int = 3) -> Povm:
-    """Random valid POVM: Dirichlet weights plus zero-sum clipped Bloch parts."""
-    w = rng.dirichlet(np.ones(n_outcomes))
+def random_povms(rng: np.random.Generator, count: int, n_outcomes: int = 3) -> list[Povm]:
+    """``count`` random valid POVMs: Dirichlet weights plus zero-sum clipped
+    Bloch parts.
+
+    Each row alternately centres its Bloch parts (sum zero) and clips them
+    to the effect radii min(w, 1 - w), for at most 200 steps; a row leaves
+    the loop at the first step where it is centred and inside its radii,
+    and later steps touch only the rows still in it.  A final centring and
+    a uniform shrink make every row valid.
+    """
+    w = rng.dirichlet(np.ones(n_outcomes), size=count)
     radii = np.minimum(w, 1.0 - w)
-    v = rng.normal(size=(n_outcomes, 3))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    v *= (radii * rng.uniform(size=n_outcomes))[:, None]
+    v = rng.normal(size=(count, n_outcomes, 3))
+    v /= np.linalg.norm(v, axis=2, keepdims=True)
+    v *= (radii * rng.uniform(size=(count, n_outcomes)))[..., None]
+    rows, live, live_radii = np.arange(count), v, radii
     for _ in range(200):
-        v -= v.sum(axis=0) / n_outcomes
-        norms = np.linalg.norm(v, axis=1)
-        over = norms > radii
-        if not over.any() and np.linalg.norm(v.sum(axis=0)) < 1e-14:
+        if not len(rows):
             break
-        scale = np.where(norms > 1e-15, np.minimum(1.0, radii / np.maximum(norms, 1e-15)), 1.0)
-        v *= scale[:, None]
-    v -= v.sum(axis=0) / n_outcomes
-    norms = np.linalg.norm(v, axis=1)
-    shrink = np.max(norms / np.maximum(radii, 1e-300)) if n_outcomes else 0.0
-    if shrink > 1.0:
-        v /= shrink
-    return Povm(tuple(Effect(w[i], v[i]) for i in range(n_outcomes)))
+        live -= live.sum(axis=1, keepdims=True) / n_outcomes
+        norms = np.linalg.norm(live, axis=2)
+        done = ~(norms > live_radii).any(axis=1) & (np.linalg.norm(live.sum(axis=1), axis=1) < 1e-14)
+        v[rows[done]] = live[done]
+        keep = ~done
+        scale = np.where(norms > 1e-15, np.minimum(1.0, live_radii / np.maximum(norms, 1e-15)), 1.0)
+        rows, live, live_radii = rows[keep], live[keep] * scale[keep][..., None], live_radii[keep]
+    v[rows] = live
+    v -= v.sum(axis=1, keepdims=True) / n_outcomes
+    shrink = np.max(np.linalg.norm(v, axis=2) / np.maximum(radii, 1e-300), axis=1)
+    v /= np.where(shrink > 1.0, shrink, 1.0)[:, None, None]
+    return [Povm(tuple(Effect(wr[i], vr[i]) for i in range(n_outcomes))) for wr, vr in zip(w, v)]
+
+
+def random_povm(rng: np.random.Generator, n_outcomes: int = 3) -> Povm:
+    """Random valid POVM: ``random_povms`` with a count of one."""
+    return random_povms(rng, 1, n_outcomes)[0]

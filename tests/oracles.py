@@ -9,8 +9,10 @@ subproblem's dual is minimized by ``scipy.optimize.minimize``.  The exact
 dual certificate of the quantum value is rebuilt in ``Fraction`` arithmetic
 and tested by LDL^T.  The noise threshold's bisection over
 joint-measurability checks is the reference for the single parametric LP
-that replaced it.  The samplers and enumerations at the end generate test
-inputs from the library's own types.
+that replaced it.  The one-row-at-a-time POVM sampler and the one-subset-
+at-a-time enclosing ball are the references for their batched library
+versions, which must match them bit for bit.  The samplers and enumerations
+at the end generate test inputs from the library's own types.
 """
 
 from fractions import Fraction
@@ -21,7 +23,8 @@ import numpy as np
 from trinegame.classical_bound import ClassicalStrategy, encoding_residuals
 from trinegame.game import project_free_blochs, shrink_to_feasible
 from trinegame.quantum_bound import CERT_EPS
-from trinegame.qubit_core import DensityState, Povm, born_probability
+from trinegame.measurement_classicality import EnclosingBall
+from trinegame.qubit_core import DensityState, Effect, Povm, born_probability
 
 SIGMA = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -181,6 +184,80 @@ def noise_threshold_by_bisection(m_first, m_second, polygon_k: int = 64, tol: fl
         else:
             hi = mid
     return lo, hi
+
+
+def clip_bloch_parts(w, v, u) -> np.ndarray:
+    """Zero-sum Bloch parts of one random POVM from its draws, one row at a
+    time: Dirichlet weights w (n,), normal directions v (n, 3) and uniform
+    radial fractions u (n,)."""
+    n_outcomes = len(w)
+    radii = np.minimum(w, 1.0 - w)
+    v = v / np.linalg.norm(v, axis=1, keepdims=True)
+    v *= (radii * u)[:, None]
+    for _ in range(200):
+        v -= v.sum(axis=0) / n_outcomes
+        norms = np.linalg.norm(v, axis=1)
+        over = norms > radii
+        if not over.any() and np.linalg.norm(v.sum(axis=0)) < 1e-14:
+            break
+        scale = np.where(norms > 1e-15, np.minimum(1.0, radii / np.maximum(norms, 1e-15)), 1.0)
+        v *= scale[:, None]
+    v -= v.sum(axis=0) / n_outcomes
+    norms = np.linalg.norm(v, axis=1)
+    shrink = np.max(norms / np.maximum(radii, 1e-300)) if n_outcomes else 0.0
+    if shrink > 1.0:
+        v /= shrink
+    return v
+
+
+def random_povm_by_rows(rng: np.random.Generator, n_outcomes: int = 3) -> Povm:
+    """Reference for ``qubit_core.random_povm``: the same three draws, then
+    ``clip_bloch_parts``."""
+    w = rng.dirichlet(np.ones(n_outcomes))
+    v = rng.normal(size=(n_outcomes, 3))
+    u = rng.uniform(size=n_outcomes)
+    v = clip_bloch_parts(w, v, u)
+    return Povm(tuple(Effect(w[i], v[i]) for i in range(n_outcomes)))
+
+
+def _circumcenter(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Center equidistant from k affinely independent points (k = 3, 4) and
+    its barycentric weights t: center = t @ points with sum t = 1."""
+    base = points[0]
+    rel = points[1:] - base
+    gram = rel @ rel.T
+    rhs = 0.5 * np.einsum("ij,ij->i", rel, rel)
+    det = np.linalg.det(gram)
+    if abs(det) < 1e-18:
+        return None
+    coeffs = np.linalg.solve(gram, rhs)
+    return base + coeffs @ rel, np.concatenate(([1.0 - coeffs.sum()], coeffs))
+
+
+def min_enclosing_ball_by_subsets(points: np.ndarray) -> EnclosingBall:
+    """Reference for ``measurement_classicality.min_enclosing_ball``: every
+    pair, triple and quadruple in turn, one determinant and solve each."""
+    pts = np.asarray(points, dtype=float)
+    k = len(pts)
+    if k == 0:
+        raise ValueError("no points")
+    if k == 1:
+        return EnclosingBall(pts[0].copy(), 0.0, (0,), np.ones(1))
+    best = EnclosingBall(None, np.inf, (), np.zeros(0))
+    for size in (2, 3, 4):
+        for idx in combinations(range(k), size):
+            sub = pts[list(idx)]
+            if size == 2:
+                center, weights = 0.5 * (sub[0] + sub[1]), np.full(2, 0.5)
+            else:
+                found = _circumcenter(sub)
+                if found is None:
+                    continue
+                center, weights = found
+            r = float(np.max(np.linalg.norm(pts - center, axis=1)))
+            if r < best.radius - 1e-15 and weights.min() >= -1e-12:
+                best = EnclosingBall(center, r, idx, weights)
+    return best
 
 
 def deterministic_encodings() -> list[np.ndarray]:

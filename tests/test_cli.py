@@ -179,6 +179,16 @@ class TestCoherence:
         assert values["degenerate_sharp_free"] == 1.0
         assert values["formulations_agree"] == 60
 
+    def test_default_batch_agrees_on_twenty_seeds(self, tmp_path):
+        reports = set()
+        for seed in range(20):
+            code, data = run(["coherence", "--seed", str(seed)], tmp_path, f"coh{seed}.json")
+            assert code == 0
+            values = {r["quantity"]: r["value"] for r in json.loads(data)["results"]}
+            assert values["formulations_agree"] == 300
+            reports.add(data)
+        assert len(reports) == 1
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_non_positive_samples_is_usage_error(self, samples):
         with pytest.raises(SystemExit) as exc:

@@ -152,6 +152,28 @@ class TestMinEnclosingBall:
             assert radius <= r_oracle + 1e-4
             assert radius >= r_oracle - 1e-3
 
+    def test_matches_subset_oracle_bit_for_bit(self):
+        sets = [np.array([op.vec for op in carmeli_ensemble().pair_operators()])]
+        sets += [
+            np.array([op.vec for op in ensemble_for_simulator_pair(i, j).pair_operators()])
+            for i in range(5)
+            for j in range(5)
+            if i != j
+        ]
+        rng = np.random.default_rng(2023)
+        sets += [rng.normal(size=(k, 3)) for k in rng.integers(1, 10, size=300)]
+        for k in rng.integers(2, 10, size=100):
+            plane = np.linalg.qr(rng.normal(size=(3, 2)))[0]
+            sets.append(rng.normal(size=(k, 2)) @ plane.T + rng.normal(size=3))
+        sets += [np.tile(rng.normal(size=3), (k, 1)) for k in (2, 3, 4, 9)]
+        for pts in sets:
+            ball = min_enclosing_ball(pts)
+            ref = oracles.min_enclosing_ball_by_subsets(pts)
+            assert np.array_equal(ball.center, ref.center)
+            assert ball.radius == ref.radius and type(ball.radius) is float
+            assert ball.support == ref.support
+            assert np.array_equal(ball.weights, ref.weights)
+
 
 class TestPostGuessBounds:
     def test_dual_equals_closed_form(self):

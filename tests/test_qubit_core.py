@@ -18,6 +18,7 @@ from trinegame.qubit_core import (
     povm_from_weighted_projectors,
     projector_effect,
     random_povm,
+    random_povms,
     random_state,
     xz_direction,
     zero_sum_alignment,
@@ -198,6 +199,34 @@ class TestPovmProperties:
             assert np.all(probs >= -1e-12)
             assert np.all(probs <= 1 + 1e-12)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _bits(povm):
+    return [e.weight for e in povm.effects], np.array([e.vec for e in povm.effects])
+
+
+class TestRandomPovmSampler:
+    def test_single_draw_matches_row_oracle_bit_for_bit(self):
+        for seed in range(500):
+            for n_outcomes in range(2, 6):
+                weights, vecs = _bits(random_povm(np.random.default_rng(seed), n_outcomes))
+                ref_weights, ref_vecs = _bits(oracles.random_povm_by_rows(np.random.default_rng(seed), n_outcomes))
+                assert weights == ref_weights
+                assert np.array_equal(vecs, ref_vecs)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_rows_match_row_oracle_on_the_same_draws(self, seed):
+        povms = random_povms(np.random.default_rng(seed), 400, 3)
+        # the batch's three draws, repeated from a second generator
+        rng = np.random.default_rng(seed)
+        w = rng.dirichlet(np.ones(3), size=400)
+        v = rng.normal(size=(400, 3, 3))
+        u = rng.uniform(size=(400, 3))
+        assert len(povms) == 400
+        for row, povm in enumerate(povms):
+            weights, vecs = _bits(povm)
+            assert weights == w[row].tolist()
+            assert np.array_equal(vecs, oracles.clip_bloch_parts(w[row], v[row], u[row]))
 
 
 def _dual_value(c, r, lam):
