@@ -20,7 +20,12 @@ Four independent certificates live here:
 * coherence detection: a POVM is free for a basis iff every effect Bloch
   vector is collinear with the basis axis; free in some basis iff all
   effect vectors are pairwise collinear, with the best witness state lying
-  along the largest off-axis component.
+  along the largest off-axis component.  Both formulations run on a Bloch
+  stack (R, k, 3) of R POVMs at once: ``pairwise_collinear`` accepts a pair
+  u, v when |u x v| <= tol max(|u|, |v|), a distance from an axis and so
+  linear in scale, like the off-axis magnitudes of ``best_axis_fit``.
+  ``all_effects_collinear`` and ``is_free_in_any_basis`` run them on one
+  POVM.
 """
 
 from __future__ import annotations
@@ -445,12 +450,56 @@ def is_free_povm(povm: Povm, basis_direction, tol: float = 1e-9) -> FreePovmRepo
     return FreePovmReport(worst <= tol, tuple(off), worst, witness_state, witness_effect, tol)
 
 
+def _bloch_stack(povm: Povm) -> np.ndarray:
+    """The effect Bloch vectors of one POVM as a one-row stack (1, k, 3)."""
+    return np.array([e.vec for e in povm.effects]).reshape(1, -1, 3)
+
+
+def pairwise_collinear(vecs, tol: float = 1e-9) -> np.ndarray:
+    """Per row of a Bloch stack (R, k, 3): whether every pair u, v of its
+    vectors has |u x v| <= tol max(|u|, |v|).
+
+    |u x v| / max(|u|, |v|) is the distance of the shorter vector from the
+    longer one's axis, so the test is linear in the scale of the vectors,
+    like the off-axis magnitudes of ``best_axis_fit``; zero vectors are
+    collinear with everything.
+    """
+    vecs = np.asarray(vecs, dtype=float)
+    first, second = np.triu_indices(vecs.shape[1], 1)
+    u, v = vecs[:, first], vecs[:, second]
+    cross = np.linalg.norm(np.cross(u, v), axis=2)
+    longer = np.maximum(np.linalg.norm(u, axis=2), np.linalg.norm(v, axis=2))
+    return np.all(cross <= tol * longer, axis=1)
+
+
+class AxisFit(NamedTuple):
+    """Best-fit axis of each row of a Bloch stack (R, k, 3): the row is free
+    in some basis when every off-axis magnitude is at most tol.  Rows whose
+    vectors are all within tol of zero get the z axis."""
+
+    free: np.ndarray         # (R,) bool
+    axis: np.ndarray         # (R, 3) unit axis
+    off_axis: np.ndarray     # (R, k, 3) parts perpendicular to the axis
+    magnitudes: np.ndarray   # (R, k) their lengths
+
+
+def best_axis_fit(vecs, tol: float = 1e-9) -> AxisFit:
+    """The axis of each row is the top right singular vector of its (k, 3)
+    matrix of Bloch vectors, which minimizes the summed squared off-axis
+    lengths."""
+    vecs = np.asarray(vecs, dtype=float)
+    near_zero = np.all(np.linalg.norm(vecs, axis=2) <= tol, axis=1)
+    axis = np.linalg.svd(vecs)[2][:, 0]
+    axis[near_zero] = (0.0, 0.0, 1.0)
+    perp = vecs - (vecs @ axis[:, :, None]) * axis[:, None, :]
+    mags = np.linalg.norm(perp, axis=2)
+    free = near_zero | np.all(mags <= tol, axis=1)
+    return AxisFit(free, axis, perp, mags)
+
+
 def all_effects_collinear(povm: Povm, tol: float = 1e-9) -> bool:
-    """Pairwise cross products of effect Bloch vectors vanish."""
-    vecs = np.array([e.vec for e in povm.effects])
-    pairs = np.array(list(combinations(range(len(vecs)), 2)), dtype=np.intp).reshape(-1, 2)
-    crosses = np.cross(vecs[pairs[:, 0]], vecs[pairs[:, 1]])
-    return bool(np.all(np.linalg.norm(crosses, axis=1) <= tol))
+    """``pairwise_collinear`` on the effect Bloch vectors of one POVM."""
+    return bool(pairwise_collinear(_bloch_stack(povm), tol)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -463,23 +512,20 @@ class CoherenceDetectionReport:
 
 
 def is_free_in_any_basis(povm: Povm, tol: float = 1e-9) -> CoherenceDetectionReport:
-    """Free in some basis iff all effect Bloch vectors are pairwise collinear.
+    """Free in some basis iff all effect Bloch vectors are pairwise collinear:
+    ``best_axis_fit`` on one POVM.
 
     When not free, the best-fit axis plus the largest off-axis component
     give the optimal coherence witness: the pure state along that component
     maximizes Tr[(rho - Lambda rho) E] with value equal to the off-axis
     Bloch magnitude.
     """
-    vecs = np.array([e.vec for e in povm.effects])
-    if np.all(np.linalg.norm(vecs, axis=1) <= tol):
-        return CoherenceDetectionReport(True, np.array([0.0, 0.0, 1.0]), 0.0, None, None)
-    axis = np.linalg.svd(vecs)[2][0]
-    perp = vecs - (vecs @ axis)[:, None] * axis[None, :]
-    mags = np.linalg.norm(perp, axis=1)
-    if mags.max() <= tol:
-        return CoherenceDetectionReport(True, axis, 0.0, None, None)
+    fit = best_axis_fit(_bloch_stack(povm), tol)
+    if fit.free[0]:
+        return CoherenceDetectionReport(True, fit.axis[0], 0.0, None, None)
+    mags = fit.magnitudes[0]
     worst = int(np.argmax(mags))
-    direction = perp[worst] / mags[worst]
+    direction = fit.off_axis[0, worst] / mags[worst]
     return CoherenceDetectionReport(
         False, None, float(mags[worst]), DensityState(direction), worst
     )

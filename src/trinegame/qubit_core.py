@@ -15,7 +15,8 @@ an independent complex-matrix oracle for cross-checking.
 once, when they are built, at the single tolerance ``DEFAULT_TOL``: a
 Bloch norm at most 1, effect eigenvalues in [0, 1], and effects summing to
 the identity.  Every object that exists is therefore valid; nothing
-re-checks it later.
+re-checks it later.  ``validate_povms`` applies the same checks, with the
+same rounding and exceptions, to a stack of POVMs held as arrays.
 
 ``zero_sum_alignment`` solves the measurement subproblem of the game: the
 best Bloch parts y_b of a three-outcome POVM, with sum_b y_b = 0 and
@@ -280,15 +281,55 @@ def random_state(rng: np.random.Generator, pure: bool = False) -> DensityState:
     return DensityState(v)
 
 
-def random_povms(rng: np.random.Generator, count: int, n_outcomes: int = 3) -> list[Povm]:
-    """``count`` random valid POVMs: Dirichlet weights plus zero-sum clipped
-    Bloch parts.
+def bloch_norms(v) -> np.ndarray:
+    """Euclidean norms over the last axis of ``v``, rounded exactly as
+    ``np.linalg.norm`` rounds one vector: each is the square root of one dot
+    product, as in ``Effect`` and ``completeness_residual``."""
+    v = np.asarray(v, dtype=float)
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
+def validate_povms(w, v) -> None:
+    """Check a stack of POVMs given as weights ``w`` (R, n) and Bloch parts
+    ``v`` (R, n, 3) in one pass, at ``DEFAULT_TOL``.
+
+    Accepts and rejects exactly what building
+    ``Povm(tuple(Effect(w[r, i], v[r, i]) for i in range(n)))`` row by row
+    does, with the same rounding: the first row that fails raises
+    ``InvalidEffectError`` when one of its effects leaves [0, 1], and
+    ``InvalidPovmError`` when only its completeness residual exceeds the
+    tolerance.  NaN fails both checks.
+    """
+    w = np.asarray(w, dtype=float)
+    v = np.asarray(v, dtype=float)
+    r = bloch_norms(v)
+    lo, hi = w - r, w + r
+    bad_effect = ~((lo >= -DEFAULT_TOL) & (hi <= 1.0 + DEFAULT_TOL))
+    res = np.maximum(np.abs(w.sum(axis=1) - 1.0), bloch_norms(v.sum(axis=1)))
+    bad_row = ~(res <= DEFAULT_TOL)
+    failed = np.flatnonzero(bad_effect.any(axis=1) | bad_row)
+    if not len(failed):
+        return
+    row = failed[0]
+    if bad_effect[row].any():
+        i = np.flatnonzero(bad_effect[row])[0]
+        raise InvalidEffectError(
+            f"effect eigenvalues ({lo[row, i]}, {hi[row, i]}) leave [0, 1] beyond tol={DEFAULT_TOL}"
+        )
+    raise InvalidPovmError(f"completeness residual {res[row]} exceeds tol={DEFAULT_TOL}")
+
+
+def random_povms(rng: np.random.Generator, count: int, n_outcomes: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` random valid POVMs as a weight stack w (count, n_outcomes)
+    and a Bloch stack v (count, n_outcomes, 3): Dirichlet weights plus
+    zero-sum clipped Bloch parts.
 
     Each row alternately centres its Bloch parts (sum zero) and clips them
     to the effect radii min(w, 1 - w), for at most 200 steps; a row leaves
     the loop at the first step where it is centred and inside its radii,
     and later steps touch only the rows still in it.  A final centring and
-    a uniform shrink make every row valid.
+    a uniform shrink make every row valid, which ``validate_povms`` checks
+    once for the whole stack.
     """
     w = rng.dirichlet(np.ones(n_outcomes), size=count)
     radii = np.minimum(w, 1.0 - w)
@@ -310,9 +351,11 @@ def random_povms(rng: np.random.Generator, count: int, n_outcomes: int = 3) -> l
     v -= v.sum(axis=1, keepdims=True) / n_outcomes
     shrink = np.max(np.linalg.norm(v, axis=2) / np.maximum(radii, 1e-300), axis=1)
     v /= np.where(shrink > 1.0, shrink, 1.0)[:, None, None]
-    return [Povm(tuple(Effect(wr[i], vr[i]) for i in range(n_outcomes))) for wr, vr in zip(w, v)]
+    validate_povms(w, v)
+    return w, v
 
 
 def random_povm(rng: np.random.Generator, n_outcomes: int = 3) -> Povm:
     """Random valid POVM: ``random_povms`` with a count of one."""
-    return random_povms(rng, 1, n_outcomes)[0]
+    w, v = random_povms(rng, 1, n_outcomes)
+    return Povm(tuple(Effect(w[0, i], v[0, i]) for i in range(n_outcomes)))

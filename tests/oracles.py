@@ -8,10 +8,11 @@ value has a closed form on the whole weight triangle, and the measurement
 subproblem's dual is minimized by ``scipy.optimize.minimize``.  The exact
 dual certificate of the quantum value is rebuilt in ``Fraction`` arithmetic
 and tested by LDL^T.  The noise threshold's bisection over
-joint-measurability checks is the reference for the single parametric LP
+inscribed-cone feasibility checks is the reference for the single parametric LP
 that replaced it.  The one-row-at-a-time POVM sampler and the one-subset-
 at-a-time enclosing ball are the references for their batched library
-versions, which must match them bit for bit.  The samplers and enumerations
+versions, which must match them bit for bit; so is the one-POVM-per-call
+collinear sampler for the stacked one in ``cli``.  The samplers and enumerations
 at the end generate test inputs from the library's own types.
 """
 
@@ -66,11 +67,14 @@ def is_povm(effects, tol: float = 1e-9) -> bool:
 
 
 def commutators_vanish(povm, tol: float = 1e-9) -> bool:
-    """Every pair of effect matrices commutes: the spectral norm of [E, F]
-    is 2 |v_E x v_F|, compared with 2 tol."""
+    """Every pair of effect matrices commutes, relative to their size: the
+    spectral norm of [E, F] is 2 |v_E x v_F| and that of the traceless part
+    E - Tr(E) I / 2 is |v_E|, so the test is |v_E x v_F| <= tol max(|v_E|, |v_F|)."""
     mats = [effect_matrix(e) for e in povm.effects]
+    sizes = [np.linalg.norm(m - 0.5 * np.trace(m) * IDENTITY, 2) for m in mats]
     return all(
-        np.linalg.norm(a @ b - b @ a, 2) <= 2.0 * tol for a, b in combinations(mats, 2)
+        np.linalg.norm(a @ b - b @ a, 2) <= 2.0 * tol * max(sa, sb)
+        for (a, sa), (b, sb) in combinations(zip(mats, sizes), 2)
     )
 
 
@@ -167,19 +171,26 @@ def weighted_median_value(c, r) -> float:
 
 
 def noise_threshold_by_bisection(m_first, m_second, polygon_k: int = 64, tol: float = 1e-4):
-    """Bisection bracket on the 2^-d grid: one full joint-measurability
-    check at eta = 1, then one per halving until the bracket is at most tol."""
-    from trinegame.measurement_classicality import add_noise, joint_measurability_check
+    """Bisection bracket on the 2^-d grid: one inscribed-cone feasibility
+    check at eta = 1, then one per halving until the bracket is at most tol.
+
+    A step reads only whether the inscribed cone of
+    ``joint_measurability_check`` is feasible, which is exactly when its
+    verdict is "compatible"; the circumscribed-cone LP that the check adds
+    on an infeasible step decides nothing here, so it is not solved.
+    """
+    from trinegame.measurement_classicality import _cone_feasible, _plane_coords, _polygon_generators, add_noise
+
+    def compatible(eta):
+        coords = _plane_coords(add_noise(m_first, eta), add_noise(m_second, eta))
+        return _cone_feasible(coords, _polygon_generators(coords, polygon_k, 1.0, True))
 
     lo, hi = 0.0, 1.0
-    if joint_measurability_check(m_first, m_second, polygon_k).verdict == "compatible":
+    if compatible(1.0):
         return 1.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        verdict = joint_measurability_check(
-            add_noise(m_first, mid), add_noise(m_second, mid), polygon_k
-        ).verdict
-        if verdict == "compatible":
+        if compatible(mid):
             lo = mid
         else:
             hi = mid
@@ -218,6 +229,21 @@ def random_povm_by_rows(rng: np.random.Generator, n_outcomes: int = 3) -> Povm:
     u = rng.uniform(size=n_outcomes)
     v = clip_bloch_parts(w, v, u)
     return Povm(tuple(Effect(w[i], v[i]) for i in range(n_outcomes)))
+
+
+def random_collinear_povm(rng: np.random.Generator) -> Povm:
+    """Reference for ``cli.random_collinear_povms``, one POVM per call:
+    a three-outcome POVM with all effect Bloch vectors on one axis."""
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    w = rng.dirichlet(np.ones(3))
+    radius = np.minimum(w, 1 - w)
+    coeffs = rng.uniform(-1.0, 1.0, size=3) * radius
+    coeffs[2] = -(coeffs[0] + coeffs[1])
+    scale = abs(coeffs[2]) / radius[2] if radius[2] > 1e-12 else 0.0
+    if scale > 1.0:
+        coeffs /= scale
+    return Povm(tuple(Effect(w[i], coeffs[i] * axis) for i in range(3)))
 
 
 def _circumcenter(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

@@ -197,12 +197,10 @@ def test_criterion_11_coherence_classification():
         mc.is_free_in_any_basis(sharp1).free_in_some_basis
         and mc.is_free_in_any_basis(sharp0).free_in_some_basis
     )
-    from trinegame.cli import random_collinear_povm
-
     rng = np.random.default_rng(11)
     agree = 0
     for idx in range(1000):
-        povm = random_collinear_povm(rng) if idx % 2 else random_povm(rng, 3)
+        povm = oracles.random_collinear_povm(rng) if idx % 2 else random_povm(rng, 3)
         a = mc.all_effects_collinear(povm)
         b = oracles.commutators_vanish(povm)
         c = mc.is_free_in_any_basis(povm).free_in_some_basis

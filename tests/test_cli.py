@@ -3,10 +3,13 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from trinegame import lp_engine, quantum_bound
-from trinegame.cli import MAX_GRID_POINTS, _parse_grid, main
+from trinegame.cli import MAX_GRID_POINTS, _parse_grid, main, random_collinear_povms
+
+import oracles
 
 
 def run(argv, tmp_path, name):
@@ -188,6 +191,21 @@ class TestCoherence:
             assert values["formulations_agree"] == 300
             reports.add(data)
         assert len(reports) == 1
+
+    @pytest.mark.parametrize("count", [0, 1, 150])
+    def test_collinear_stack_matches_one_povm_oracle_bit_for_bit(self, count):
+        for seed in (0, 1, 7, 2026):
+            weights, vecs = random_collinear_povms(np.random.default_rng(seed), count)
+            assert weights.shape == (count, 3) and vecs.shape == (count, 3, 3)
+            rng = np.random.default_rng(seed)
+            for row in range(count):
+                povm = oracles.random_collinear_povm(rng)
+                assert weights[row].tolist() == [e.weight for e in povm.effects]
+                assert np.array_equal(vecs[row], [e.vec for e in povm.effects])
+            # both consumed the same draws: the generators go on in step
+            stacked = np.random.default_rng(seed)
+            random_collinear_povms(stacked, count)
+            assert stacked.uniform() == rng.uniform()
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_non_positive_samples_is_usage_error(self, samples):

@@ -11,6 +11,7 @@ from trinegame.measurement_classicality import (
     add_noise,
     all_effects_collinear,
     antidistinguishing_povm,
+    best_axis_fit,
     carmeli_ensemble,
     dephase,
     ensemble_for_simulator_pair,
@@ -20,6 +21,7 @@ from trinegame.measurement_classicality import (
     joint_measurability_check,
     min_enclosing_ball,
     noise_compatibility_threshold,
+    pairwise_collinear,
     post_guess_bounds,
     prior_guess,
 )
@@ -31,8 +33,10 @@ from trinegame.qubit_core import (
     born_probability,
     povm_from_weighted_projectors,
     random_povm,
+    random_povms,
     xz_direction,
 )
+from trinegame.cli import random_collinear_povms
 
 import oracles
 
@@ -443,14 +447,63 @@ class TestCoherenceDetection:
         assert is_free_in_any_basis(flat).free_in_some_basis
 
     def test_three_formulations_agree_on_1000_random(self):
-        from trinegame.cli import random_collinear_povm
-
         rng = np.random.default_rng(31415)
+        povms = []
         for idx in range(1000):
-            povm = random_collinear_povm(rng) if idx % 2 else random_povm(rng, 3)
+            povm = oracles.random_collinear_povm(rng) if idx % 2 else random_povm(rng, 3)
             a = all_effects_collinear(povm)
             b = oracles.commutators_vanish(povm)
             c = is_free_in_any_basis(povm).free_in_some_basis
             assert a == b == c
             if idx % 2:
                 assert a  # constructed collinear samples must classify as free
+            povms.append(povm)
+        # the stacked kernels give each row the verdict of its one-POVM wrapper
+        vecs = np.array([[e.vec for e in povm.effects] for povm in povms])
+        fit = best_axis_fit(vecs)
+        assert pairwise_collinear(vecs).tolist() == [all_effects_collinear(p) for p in povms]
+        assert fit.free.tolist() == [is_free_in_any_basis(p).free_in_some_basis for p in povms]
+        for row in range(0, 1000, 2):
+            report = is_free_in_any_basis(povms[row])
+            assert fit.magnitudes[row].max() == report.witness_value
+            assert np.array_equal(fit.off_axis[row, report.witness_effect] / report.witness_value,
+                                  report.witness_state.bloch)
+
+    def test_kernels_accept_an_empty_stack(self):
+        empty = np.zeros((0, 3, 3))
+        assert pairwise_collinear(empty).shape == (0,)
+        assert best_axis_fit(empty).free.shape == (0,)
+
+    def test_small_non_collinear_effects_are_not_free(self):
+        # Bloch parts 1e-5 x, 1e-5 y, -1e-5 (x + y): |u x v| = 1e-10 is below
+        # 1e-9, but the off-axis witness is 7.07e-6.  The pairwise test
+        # compares |u x v| with tol max(|u|, |v|), linear in scale like the
+        # witness, and agrees with it
+        povm = Povm(
+            (
+                Effect(1 / 3, (1e-5, 0.0, 0.0)),
+                Effect(1 / 3, (0.0, 1e-5, 0.0)),
+                Effect(1 / 3, (-1e-5, -1e-5, 0.0)),
+            )
+        )
+        report = is_free_in_any_basis(povm)
+        assert not all_effects_collinear(povm)
+        assert not oracles.commutators_vanish(povm)
+        assert not report.free_in_some_basis
+        assert report.witness_value == pytest.approx(1e-5 / np.sqrt(2), rel=1e-6)
+
+    def test_formulations_agree_on_scaled_samples(self):
+        # scaled copies of sampler POVMs, general and collinear, at scales
+        # 1e-4 to 1.  Below about 1e-6 the off-axis lengths of a general
+        # sample approach tol, where the pairwise distance (of the shorter
+        # vector from the longer's axis) and the best-fit axis distance are
+        # different quantities, so that band is left out.
+        rng = np.random.default_rng(27182)
+        _, general = random_povms(rng, 1000, 3)
+        _, collinear = random_collinear_povms(rng, 1000)
+        vecs = np.concatenate([general, collinear])
+        for scale in np.logspace(-4.0, 0.0, 9):
+            scaled = scale * vecs
+            pairwise = pairwise_collinear(scaled)
+            assert np.array_equal(pairwise, best_axis_fit(scaled).free), scale
+            assert not pairwise[:1000].any() and pairwise[1000:].all(), scale

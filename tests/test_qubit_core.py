@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from trinegame.qubit_core import (
+    DEFAULT_TOL,
     DensityState,
     Effect,
     InvalidEffectError,
@@ -13,6 +14,7 @@ from trinegame.qubit_core import (
     InvalidStateError,
     PauliOperator,
     Povm,
+    bloch_norms,
     born_probability,
     completeness_residual,
     povm_from_weighted_projectors,
@@ -20,6 +22,7 @@ from trinegame.qubit_core import (
     random_povm,
     random_povms,
     random_state,
+    validate_povms,
     xz_direction,
     zero_sum_alignment,
 )
@@ -216,17 +219,106 @@ class TestRandomPovmSampler:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_batch_rows_match_row_oracle_on_the_same_draws(self, seed):
-        povms = random_povms(np.random.default_rng(seed), 400, 3)
+        weights, vecs = random_povms(np.random.default_rng(seed), 400, 3)
         # the batch's three draws, repeated from a second generator
         rng = np.random.default_rng(seed)
         w = rng.dirichlet(np.ones(3), size=400)
         v = rng.normal(size=(400, 3, 3))
         u = rng.uniform(size=(400, 3))
-        assert len(povms) == 400
-        for row, povm in enumerate(povms):
-            weights, vecs = _bits(povm)
-            assert weights == w[row].tolist()
-            assert np.array_equal(vecs, oracles.clip_bloch_parts(w[row], v[row], u[row]))
+        assert weights.shape == (400, 3) and vecs.shape == (400, 3, 3)
+        assert np.array_equal(weights, w)
+        for row in range(400):
+            assert np.array_equal(vecs[row], oracles.clip_bloch_parts(w[row], v[row], u[row]))
+
+    def test_empty_batch(self):
+        weights, vecs = random_povms(np.random.default_rng(0), 0, 3)
+        assert weights.shape == (0, 3) and vecs.shape == (0, 3, 3)
+
+
+def _constructor_error(w, v):
+    """The exception type that building the rows as ``Povm`` objects raises
+    first, or None."""
+    try:
+        for row_w, row_v in zip(w, v):
+            Povm(tuple(Effect(row_w[i], row_v[i]) for i in range(len(row_w))))
+    except (InvalidEffectError, InvalidPovmError) as exc:
+        return type(exc)
+    return None
+
+
+def _stack_error(w, v):
+    try:
+        validate_povms(w, v)
+    except (InvalidEffectError, InvalidPovmError) as exc:
+        return type(exc)
+    return None
+
+
+class TestValidatePovmStack:
+    """``validate_povms`` accepts and rejects exactly what the constructors do."""
+
+    def _valid_stack(self, seed, count=20, n_outcomes=3):
+        return random_povms(np.random.default_rng(seed), count, n_outcomes)
+
+    def test_sampler_stacks_pass(self):
+        for n_outcomes in range(2, 6):
+            w, v = self._valid_stack(n_outcomes, 200, n_outcomes)
+            assert _stack_error(w, v) is _constructor_error(w, v) is None
+
+    def test_bloch_norms_round_like_one_vector_norms(self):
+        v = np.random.default_rng(5).normal(size=(2000, 4, 3)) * np.logspace(-8, 0, 2000)[:, None, None]
+        assert np.array_equal(bloch_norms(v), [[np.linalg.norm(e) for e in row] for row in v])
+        sums = v.sum(axis=1)
+        assert np.array_equal(bloch_norms(sums), [np.linalg.norm(np.sum(list(row), axis=0)) for row in v])
+
+    @pytest.mark.parametrize("field", ["weight", "vector"])
+    def test_nan_row_is_rejected(self, field):
+        w, v = self._valid_stack(1)
+        if field == "weight":
+            w[7, 1] = np.nan
+        else:
+            v[7, 1, 2] = np.nan
+        assert _stack_error(w, v) is _constructor_error(w, v) is InvalidEffectError
+
+    def test_completeness_residual_of_twice_the_tolerance(self):
+        w, v = self._valid_stack(2)
+        # the effects stay valid; only the sum misses the identity
+        w[4] = (0.25, 0.25, 0.5 + 2 * DEFAULT_TOL)
+        v[4] = 0.0
+        assert _stack_error(w, v) is _constructor_error(w, v) is InvalidPovmError
+        w[4, 2] = 0.5 + 0.5 * DEFAULT_TOL
+        assert _stack_error(w, v) is _constructor_error(w, v) is None
+
+    def test_effect_eigenvalue_of_minus_twice_the_tolerance(self):
+        w, v = self._valid_stack(3)
+        # the first two effects have smaller eigenvalue 0.25 - |v| = -2 tol; the
+        # row is complete, so only the effect check can reject it
+        w[9] = (0.25, 0.25, 0.5)
+        v[9] = ((0.25 + 2 * DEFAULT_TOL, 0.0, 0.0), (-0.25 - 2 * DEFAULT_TOL, 0.0, 0.0), (0.0, 0.0, 0.0))
+        assert _stack_error(w, v) is _constructor_error(w, v) is InvalidEffectError
+        v[9, :2, 0] = (0.25 + 0.5 * DEFAULT_TOL, -0.25 - 0.5 * DEFAULT_TOL)
+        assert _stack_error(w, v) is _constructor_error(w, v) is None
+
+    def test_first_failing_row_sets_the_exception(self):
+        w, v = self._valid_stack(4)
+        w[3, 0] += 1e-6  # row 3: completeness only
+        w[8, 0] = -1e-6  # row 8: an effect, and completeness
+        assert _stack_error(w, v) is _constructor_error(w, v) is InvalidPovmError
+        assert _stack_error(w[4:], v[4:]) is _constructor_error(w[4:], v[4:]) is InvalidEffectError
+
+    def test_boundary_perturbations_agree(self):
+        # each row's first effect gets its smaller eigenvalue within about
+        # 1e-15 of -tol, on either side; rows are checked one at a time
+        rng = np.random.default_rng(6)
+        w, v = self._valid_stack(6, 400)
+        w[:, 0] = np.linalg.norm(v[:, 0], axis=1) - DEFAULT_TOL * (1.0 + rng.uniform(-1e-6, 1e-6, size=400))
+        seen = set()
+        for row in range(400):
+            single_w, single_v = w[row : row + 1], v[row : row + 1]
+            stacked = _stack_error(single_w, single_v)
+            assert stacked is _constructor_error(single_w, single_v), row
+            seen.add(stacked)
+        assert InvalidEffectError in seen and len(seen) == 3
 
 
 def _dual_value(c, r, lam):
