@@ -31,7 +31,8 @@ class EncodingConstraintError(ValueError):
 
 def _distribution(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=float).reshape(-1)
-    if arr.size != 3 or np.any(arr < -1e-12) or abs(arr.sum() - 1.0) > 1e-9:
+    valid = arr.size == 3 and np.all(arr >= -1e-12) and abs(arr.sum() - 1.0) <= 1e-9
+    if not valid:  # written so that NaN fails
         raise ValueError(f"{name} must be a distribution over three outputs")
     arr.flags.writeable = False
     return arr
@@ -54,10 +55,10 @@ class ClassicalStrategy:
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float).reshape(3, 2)
-        if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
+        if not np.all((p >= -1e-12) & (p <= 1.0 + 1e-12)):  # written so that NaN fails
             raise EncodingConstraintError("encoding probabilities leave [0, 1]")
         rate, pair = encoding_residuals(p)
-        if rate > DEFAULT_TOL or pair > DEFAULT_TOL:
+        if not (rate <= DEFAULT_TOL and pair <= DEFAULT_TOL):  # written so that NaN fails
             raise EncodingConstraintError(
                 f"hiding constraints violated: rate residual {rate}, pair residual {pair}"
             )

@@ -245,7 +245,7 @@ def cmd_coherence(args) -> int:
     degenerate_sharp = povm_from_weighted_projectors(
         (1.0, 0.5, 0.5), [psi0, -psi0, -psi0]
     )
-    degenerate_free = mc.is_free_in_any_basis(degenerate_sharp).free_in_some_basis
+    degenerate_free = mc.is_free_in_any_basis(degenerate_sharp).free
 
     rng = np.random.default_rng(args.seed)
     _, general = random_povms(rng, (args.samples + 1) // 2, 3)
@@ -253,8 +253,8 @@ def cmd_coherence(args) -> int:
     vecs = np.concatenate([general, collinear])
     agree = int(np.count_nonzero(mc.pairwise_collinear(vecs) == mc.best_axis_fit(vecs).free))
     records = [
-        _record("trine_free_any_basis", float(trine_report.free_in_some_basis), 0.0, 0.0,
-                not trine_report.free_in_some_basis),
+        _record("trine_free_any_basis", float(trine_report.free), 0.0, 0.0,
+                not trine_report.free),
         _record("trine_witness_value", fixed_basis.max_off_axis, (2.0 / 3.0) * np.sin(2 * np.pi / 3) / 2.0,
                 1e-9, fixed_basis.max_off_axis > 0.28),
         _record("degenerate_sharp_free", float(degenerate_free), 1.0, 0.0, degenerate_free),

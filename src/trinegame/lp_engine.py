@@ -115,14 +115,14 @@ class _Dictionary:
         self.basis[row] = col
         self.pivots += 1
 
-    def run(self, cost: np.ndarray, allowed: np.ndarray) -> str:
+    def run(self, cost: np.ndarray) -> str:
         """Maximize cost.y; returns "optimal" or "unbounded".
 
         Dantzig pricing, switching to Bland's rule after DEGENERATE_RUN
         consecutive degenerate steps until the next step that moves.
         """
         tab, span = self.tab, self.span
-        enterable = allowed & (span > PIVOT_TOL)
+        enterable = span > PIVOT_TOL
         degenerate = 0
         for _ in range(_MAX_ITERS):
             reduced = cost - cost[self.basis] @ tab
@@ -224,7 +224,7 @@ class LpFamily:
         # phase 1: maximize minus the sum of the artificial variables
         core = _Dictionary(a, self.b - a @ self.lower, self.upper - self.lower)
         cost = np.concatenate([np.zeros(n), -np.ones(a.shape[0])])
-        if core.run(cost, np.ones(cost.size, dtype=bool)) != "optimal":  # pragma: no cover - bounded by 0
+        if core.run(cost) != "optimal":  # pragma: no cover - bounded by 0
             raise LpNumericalError("phase 1 unbounded")
         self.phase1_objective = float(core.point()[n:].sum())
         self.feasible = self.phase1_objective <= FEASIBILITY_TOL
@@ -242,7 +242,7 @@ class LpFamily:
                 "infeasible", float("nan"), None, float("inf"), self.phase1_objective, self.phase1_pivots
             )
         d = self._core.clone()
-        status = d.run(c, np.ones(d.n_struct, dtype=bool))
+        status = d.run(c)
         if status == "unbounded":
             return LpSolution("unbounded", float("inf"), None, float("inf"), 0.0, self.phase1_pivots, d.pivots)
         x = np.clip(d.point() + self.lower, self.lower, self.upper)

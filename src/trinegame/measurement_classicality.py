@@ -23,9 +23,11 @@ Four independent certificates live here:
   along the largest off-axis component.  Both formulations run on a Bloch
   stack (R, k, 3) of R POVMs at once: ``pairwise_collinear`` accepts a pair
   u, v when |u x v| <= tol max(|u|, |v|), a distance from an axis and so
-  linear in scale, like the off-axis magnitudes of ``best_axis_fit``.
-  ``all_effects_collinear`` and ``is_free_in_any_basis`` run them on one
-  POVM.
+  linear in scale, like the off-axis magnitudes v - (v.n) n of
+  ``best_axis_fit``.  Both one-POVM checks return a ``CoherenceReport``
+  built by one routine from a one-row fit with that formula:
+  ``is_free_povm`` for the given axis, ``is_free_in_any_basis`` for the
+  fitted one.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import numpy as np
 
 from .lp_engine import FEASIBILITY_TOL, LpFamily, LpNumericalError
 from .qubit_core import (
+    DEFAULT_TOL,
     DensityState,
     Effect,
     PauliOperator,
@@ -58,20 +61,20 @@ class CoplanarityError(ValueError):
 # anti-distinguishability
 
 
-def antidistinguishing_povm(states, tol: float = 1e-9) -> Povm:
+def antidistinguishing_povm(states) -> Povm:
     """POVM {(2/3)(I - pi_b)} that never fires outcome b on state b.
 
-    Requires three pure states whose Bloch vectors sum to zero; then the
-    complement effects are valid and complete.
+    Requires three pure states whose Bloch vectors sum to zero, both to
+    ``DEFAULT_TOL``; then the complement effects are valid and complete.
     """
     states = tuple(states)
     if len(states) != 3:
         raise ValueError("expected three states")
     blochs = np.stack([s.bloch for s in states])
-    if np.linalg.norm(blochs.sum(axis=0)) > tol:
+    if np.linalg.norm(blochs.sum(axis=0)) > DEFAULT_TOL:
         raise ValueError("Bloch vectors must sum to zero for this construction")
     for s in states:
-        if abs(s.purity_radius - 1.0) > tol:
+        if abs(s.purity_radius - 1.0) > DEFAULT_TOL:
             raise ValueError("states must be pure")
     effects = tuple(Effect(1.0 / 3.0, -blochs[b] / 3.0) for b in range(3))
     return Povm(effects)
@@ -108,15 +111,6 @@ def _state_at(angle: float) -> DensityState:
     return DensityState(xz_direction(angle))
 
 
-def carmeli_ensemble() -> PartitionedEnsemble:
-    """The partitioned ensemble certifying incompatibility of the first two
-    five-outcome simulators: states at xz angles {0, 144, 216} degrees and
-    {72, 216, 288} degrees."""
-    part0 = tuple(_state_at(a) for a in (0.0, 2 * TWO_FIFTHS_PI, 3 * TWO_FIFTHS_PI))
-    part1 = tuple(_state_at(a) for a in (TWO_FIFTHS_PI, 3 * TWO_FIFTHS_PI, 4 * TWO_FIFTHS_PI))
-    return PartitionedEnsemble(part0, part1)
-
-
 def ensemble_for_simulator_pair(o_first: int, o_second: int) -> PartitionedEnsemble:
     """Rotated copy of the certifying ensemble aligned with members o_first
     and o_second of the five-outcome simulator set."""
@@ -124,6 +118,14 @@ def ensemble_for_simulator_pair(o_first: int, o_second: int) -> PartitionedEnsem
     part0 = tuple(_state_at(o_first * TWO_FIFTHS_PI + d) for d in offsets)
     part1 = tuple(_state_at(o_second * TWO_FIFTHS_PI + d) for d in offsets)
     return PartitionedEnsemble(part0, part1)
+
+
+def carmeli_ensemble() -> PartitionedEnsemble:
+    """The partitioned ensemble certifying incompatibility of the first two
+    five-outcome simulators: states at xz angles {0, 144, 216} degrees and
+    {72, 216, 288} degrees, the pair (0, 1) of
+    ``ensemble_for_simulator_pair``."""
+    return ensemble_for_simulator_pair(0, 1)
 
 
 def prior_guess(ensemble: PartitionedEnsemble, m_first: Povm, m_second: Povm) -> float:
@@ -279,10 +281,11 @@ class JointMeasurabilityResult:
 MARGINALS = np.vstack([np.kron(np.eye(3), np.ones(3)), np.kron(np.ones(3), np.eye(3))])
 
 
-def _plane_coords(m_first: Povm, m_second: Povm, tol: float = 1e-9) -> np.ndarray:
+def _plane_coords(m_first: Povm, m_second: Povm) -> np.ndarray:
     """(2, 3, 3) array: (weight, e1 part, e2 part) of each effect of the two
     three-outcome POVMs, in an orthonormal basis (e1, e2) of the plane that
-    holds all their Bloch vectors."""
+    holds all their Bloch vectors (the third singular value at most
+    ``DEFAULT_TOL`` times the first)."""
     effects = m_first.effects + m_second.effects
     vecs = np.array([e.vec for e in effects])
     nonzero = vecs[np.linalg.norm(vecs, axis=1) > 1e-13]
@@ -290,7 +293,7 @@ def _plane_coords(m_first: Povm, m_second: Povm, tol: float = 1e-9) -> np.ndarra
         basis = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     else:
         _, svals, vt = np.linalg.svd(nonzero, full_matrices=True)
-        if svals.size >= 3 and svals[2] > tol * svals[0]:
+        if svals.size >= 3 and svals[2] > DEFAULT_TOL * svals[0]:
             raise CoplanarityError("effect Bloch vectors are not coplanar")
         basis = vt[:2]
     weights = np.array([e.weight for e in effects])
@@ -407,57 +410,24 @@ def noise_compatibility_threshold(
 # coherence detection
 
 
+def _unit_axis(direction) -> np.ndarray:
+    """The direction scaled to unit length; ValueError unless finite and nonzero."""
+    n = np.asarray(direction, dtype=float)
+    norm = np.linalg.norm(n)
+    if not (np.isfinite(norm) and norm >= 1e-14):  # written so that NaN fails
+        raise ValueError(f"basis direction must be finite and nonzero, got {direction!r}")
+    return n / norm
+
+
 def dephase(state: DensityState, basis_direction) -> DensityState:
     """Project the Bloch vector onto the basis axis (full dephasing map)."""
-    n = np.asarray(basis_direction, dtype=float)
-    norm = np.linalg.norm(n)
-    if norm < 1e-14:
-        raise ValueError("basis direction must be nonzero")
-    n = n / norm
+    n = _unit_axis(basis_direction)
     return DensityState((state.bloch @ n) * n)
 
 
-@dataclass(frozen=True, eq=False)
-class FreePovmReport:
-    free: bool
-    off_axis: tuple                      # per-effect off-axis Bloch magnitude
-    max_off_axis: float
-    witness_state: DensityState | None   # pure state with Tr[(rho - dephased rho) E] = max_off_axis
-    witness_effect: int | None
-    tol: float
-
-
-def is_free_povm(povm: Povm, basis_direction, tol: float = 1e-9) -> FreePovmReport:
-    """Free iff every effect Bloch vector is (anti)parallel to the basis axis,
-    i.e. the POVM cannot tell any state from its dephasing.
-
-    When not free, the pure state along the largest perpendicular component
-    detects coherence with value equal to that component's magnitude.
-    """
-    n = np.asarray(basis_direction, dtype=float)
-    norm = np.linalg.norm(n)
-    if norm < 1e-14:
-        raise ValueError("basis direction must be nonzero")
-    n = n / norm
-    perps = [e.vec - (e.vec @ n) * n for e in povm.effects]
-    off = [float(np.linalg.norm(p)) for p in perps]
-    worst = max(off, default=0.0)
-    witness_state = None
-    witness_effect = None
-    if off and worst > tol:
-        witness_effect = int(np.argmax(off))
-        witness_state = DensityState(perps[witness_effect] / worst)
-    return FreePovmReport(worst <= tol, tuple(off), worst, witness_state, witness_effect, tol)
-
-
-def _bloch_stack(povm: Povm) -> np.ndarray:
-    """The effect Bloch vectors of one POVM as a one-row stack (1, k, 3)."""
-    return np.array([e.vec for e in povm.effects]).reshape(1, -1, 3)
-
-
-def pairwise_collinear(vecs, tol: float = 1e-9) -> np.ndarray:
+def pairwise_collinear(vecs) -> np.ndarray:
     """Per row of a Bloch stack (R, k, 3): whether every pair u, v of its
-    vectors has |u x v| <= tol max(|u|, |v|).
+    vectors has |u x v| <= tol max(|u|, |v|), tol = ``DEFAULT_TOL``.
 
     |u x v| / max(|u|, |v|) is the distance of the shorter vector from the
     longer one's axis, so the test is linear in the scale of the vectors,
@@ -469,63 +439,69 @@ def pairwise_collinear(vecs, tol: float = 1e-9) -> np.ndarray:
     u, v = vecs[:, first], vecs[:, second]
     cross = np.linalg.norm(np.cross(u, v), axis=2)
     longer = np.maximum(np.linalg.norm(u, axis=2), np.linalg.norm(v, axis=2))
-    return np.all(cross <= tol * longer, axis=1)
+    return np.all(cross <= DEFAULT_TOL * longer, axis=1)
 
 
 class AxisFit(NamedTuple):
-    """Best-fit axis of each row of a Bloch stack (R, k, 3): the row is free
-    in some basis when every off-axis magnitude is at most tol.  Rows whose
-    vectors are all within tol of zero get the z axis."""
+    """Off-axis parts of each row of a Bloch stack (R, k, 3) for one unit
+    axis per row: the row is free for its axis when every off-axis
+    magnitude is at most ``DEFAULT_TOL``."""
 
     free: np.ndarray         # (R,) bool
     axis: np.ndarray         # (R, 3) unit axis
-    off_axis: np.ndarray     # (R, k, 3) parts perpendicular to the axis
+    off_axis: np.ndarray     # (R, k, 3) parts v - (v.n) n perpendicular to the axis n
     magnitudes: np.ndarray   # (R, k) their lengths
 
 
-def best_axis_fit(vecs, tol: float = 1e-9) -> AxisFit:
-    """The axis of each row is the top right singular vector of its (k, 3)
-    matrix of Bloch vectors, which minimizes the summed squared off-axis
-    lengths."""
-    vecs = np.asarray(vecs, dtype=float)
-    near_zero = np.all(np.linalg.norm(vecs, axis=2) <= tol, axis=1)
-    axis = np.linalg.svd(vecs)[2][:, 0]
-    axis[near_zero] = (0.0, 0.0, 1.0)
+def _axis_fit(vecs: np.ndarray, axis: np.ndarray) -> AxisFit:
     perp = vecs - (vecs @ axis[:, :, None]) * axis[:, None, :]
     mags = np.linalg.norm(perp, axis=2)
-    free = near_zero | np.all(mags <= tol, axis=1)
-    return AxisFit(free, axis, perp, mags)
+    return AxisFit(np.all(mags <= DEFAULT_TOL, axis=1), axis, perp, mags)
 
 
-def all_effects_collinear(povm: Povm, tol: float = 1e-9) -> bool:
-    """``pairwise_collinear`` on the effect Bloch vectors of one POVM."""
-    return bool(pairwise_collinear(_bloch_stack(povm), tol)[0])
+def best_axis_fit(vecs) -> AxisFit:
+    """The axis of each row is the top right singular vector of its (k, 3)
+    matrix of Bloch vectors, which minimizes the summed squared off-axis
+    lengths; rows whose vectors all have length at most ``DEFAULT_TOL`` get
+    the z axis, and are free for it."""
+    vecs = np.asarray(vecs, dtype=float)
+    axis = np.linalg.svd(vecs)[2][:, 0]
+    axis[np.all(np.linalg.norm(vecs, axis=2) <= DEFAULT_TOL, axis=1)] = (0.0, 0.0, 1.0)
+    return _axis_fit(vecs, axis)
 
 
 @dataclass(frozen=True, eq=False)
-class CoherenceDetectionReport:
-    free_in_some_basis: bool
-    basis_direction: np.ndarray | None
-    witness_value: float                 # max off-axis Bloch magnitude
-    witness_state: DensityState | None   # pure state maximizing Tr[(rho - dephased rho) E]
+class CoherenceReport:
+    """Coherence verdict of one POVM for one unit axis.  When not free, the
+    pure state along the largest off-axis part, of effect
+    ``witness_effect``, has Tr[(rho - dephased rho) E] = ``max_off_axis``."""
+
+    free: bool
+    axis: np.ndarray
+    max_off_axis: float                  # largest off-axis Bloch magnitude, free or not
+    witness_state: DensityState | None   # None when free
     witness_effect: int | None
 
 
-def is_free_in_any_basis(povm: Povm, tol: float = 1e-9) -> CoherenceDetectionReport:
-    """Free in some basis iff all effect Bloch vectors are pairwise collinear:
-    ``best_axis_fit`` on one POVM.
-
-    When not free, the best-fit axis plus the largest off-axis component
-    give the optimal coherence witness: the pure state along that component
-    maximizes Tr[(rho - Lambda rho) E] with value equal to the off-axis
-    Bloch magnitude.
-    """
-    fit = best_axis_fit(_bloch_stack(povm), tol)
-    if fit.free[0]:
-        return CoherenceDetectionReport(True, fit.axis[0], 0.0, None, None)
+def _coherence_report(fit: AxisFit) -> CoherenceReport:
+    """The report of a one-row fit: one POVM's Bloch stack (1, k, 3) and its axis."""
     mags = fit.magnitudes[0]
     worst = int(np.argmax(mags))
-    direction = fit.off_axis[0, worst] / mags[worst]
-    return CoherenceDetectionReport(
-        False, None, float(mags[worst]), DensityState(direction), worst
-    )
+    if fit.free[0]:
+        return CoherenceReport(True, fit.axis[0], float(mags[worst]), None, None)
+    witness = DensityState(fit.off_axis[0, worst] / mags[worst])
+    return CoherenceReport(False, fit.axis[0], float(mags[worst]), witness, worst)
+
+
+def is_free_povm(povm: Povm, basis_direction) -> CoherenceReport:
+    """Free iff every effect Bloch vector is (anti)parallel to the basis
+    axis, i.e. the POVM cannot tell any state from its dephasing."""
+    vecs = np.array([[e.vec for e in povm.effects]])
+    return _coherence_report(_axis_fit(vecs, _unit_axis(basis_direction)[None]))
+
+
+def is_free_in_any_basis(povm: Povm) -> CoherenceReport:
+    """Free in some basis iff all effect Bloch vectors are collinear: the
+    report for the ``best_axis_fit`` axis, whose witness state maximizes
+    Tr[(rho - Lambda rho) E] over all states."""
+    return _coherence_report(best_axis_fit(np.array([[e.vec for e in povm.effects]])))

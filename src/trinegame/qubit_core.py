@@ -15,8 +15,9 @@ an independent complex-matrix oracle for cross-checking.
 once, when they are built, at the single tolerance ``DEFAULT_TOL``: a
 Bloch norm at most 1, effect eigenvalues in [0, 1], and effects summing to
 the identity.  Every object that exists is therefore valid; nothing
-re-checks it later.  ``validate_povms`` applies the same checks, with the
-same rounding and exceptions, to a stack of POVMs held as arrays.
+re-checks it later.  The POVM rule is one pair of stacked checks: effect
+bounds, which ``Effect`` runs on a one-row stack, and completeness, which
+``Povm`` runs on one; ``validate_povms`` runs both on a whole stack.
 
 ``zero_sum_alignment`` solves the measurement subproblem of the game: the
 best Bloch parts y_b of a three-outcome POVM, with sum_b y_b = 0 and
@@ -121,6 +122,39 @@ class DensityState:
         return self.as_operator().eigenvalues()
 
 
+def bloch_norms(v) -> np.ndarray:
+    """Euclidean norms over the last axis of ``v``, rounded exactly as
+    ``np.linalg.norm`` rounds one vector: each is the square root of one dot
+    product, as in ``Effect.eigenvalues``."""
+    v = np.asarray(v, dtype=float)
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
+def _effect_bounds_failure(w, v) -> tuple[int, InvalidEffectError] | None:
+    """The first row of a stack, weights ``w`` (R, n) and Bloch parts ``v``
+    (R, n, 3), with an effect whose eigenvalues w -+ |v| leave [0, 1] beyond
+    ``DEFAULT_TOL``, and its error; None when every effect is valid."""
+    r = bloch_norms(v)
+    lo, hi = w - r, w + r
+    valid = (lo >= -DEFAULT_TOL) & (hi <= 1.0 + DEFAULT_TOL)  # written so that NaN fails
+    if valid.all():
+        return None
+    row, i = np.argwhere(~valid)[0]
+    return row, InvalidEffectError(f"effect eigenvalues ({lo[row, i]}, {hi[row, i]}) leave [0, 1] beyond tol={DEFAULT_TOL}")
+
+
+def _completeness_failure(w, v) -> tuple[int, InvalidPovmError] | None:
+    """The first row of a stack whose completeness residual, the larger of
+    |sum w - 1| and |sum v|, exceeds ``DEFAULT_TOL``, and its error; None
+    when every row sums to the identity."""
+    res = np.maximum(np.abs(w.sum(axis=1) - 1.0), bloch_norms(v.sum(axis=1)))
+    complete = res <= DEFAULT_TOL  # written so that NaN fails
+    if complete.all():
+        return None
+    row = np.flatnonzero(~complete)[0]
+    return row, InvalidPovmError(f"completeness residual {res[row]} exceeds tol={DEFAULT_TOL}")
+
+
 @dataclass(frozen=True, eq=False)
 class Effect:
     """POVM element weight*I + vec.sigma with 0 <= E <= I."""
@@ -131,9 +165,9 @@ class Effect:
     def __post_init__(self):
         object.__setattr__(self, "weight", float(self.weight))
         object.__setattr__(self, "vec", _vec3(self.vec))
-        lo, hi = self.eigenvalues()
-        if not (lo >= -DEFAULT_TOL and hi <= 1.0 + DEFAULT_TOL):  # written so that NaN fails
-            raise InvalidEffectError(f"effect eigenvalues ({lo}, {hi}) leave [0, 1] beyond tol={DEFAULT_TOL}")
+        failure = _effect_bounds_failure(np.array([[self.weight]]), self.vec.reshape(1, 1, 3))
+        if failure:
+            raise failure[1]
 
     def eigenvalues(self) -> tuple[float, float]:
         r = float(np.linalg.norm(self.vec))
@@ -148,13 +182,6 @@ class Effect:
         return PauliOperator(self.weight, self.vec)
 
 
-def completeness_residual(effects) -> float:
-    """Max of |sum w - 1| and |sum vec| for a candidate POVM; NaN if either is."""
-    w = sum(e.weight for e in effects)
-    v = np.sum([e.vec for e in effects], axis=0)
-    return float(np.maximum(abs(w - 1.0), np.linalg.norm(v)))
-
-
 @dataclass(frozen=True, eq=False)
 class Povm:
     """Ordered list of effects summing to the identity."""
@@ -163,9 +190,10 @@ class Povm:
 
     def __post_init__(self):
         object.__setattr__(self, "effects", tuple(self.effects))
-        res = completeness_residual(self.effects)
-        if not res <= DEFAULT_TOL:  # written so that NaN fails
-            raise InvalidPovmError(f"completeness residual {res} exceeds tol={DEFAULT_TOL}")
+        w, v = np.array([[e.weight for e in self.effects]]), np.array([[e.vec for e in self.effects]])
+        failure = _completeness_failure(w, v.reshape(1, -1, 3))
+        if failure:
+            raise failure[1]
 
     def __len__(self) -> int:
         return len(self.effects)
@@ -281,42 +309,22 @@ def random_state(rng: np.random.Generator, pure: bool = False) -> DensityState:
     return DensityState(v)
 
 
-def bloch_norms(v) -> np.ndarray:
-    """Euclidean norms over the last axis of ``v``, rounded exactly as
-    ``np.linalg.norm`` rounds one vector: each is the square root of one dot
-    product, as in ``Effect`` and ``completeness_residual``."""
-    v = np.asarray(v, dtype=float)
-    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
-
-
 def validate_povms(w, v) -> None:
     """Check a stack of POVMs given as weights ``w`` (R, n) and Bloch parts
     ``v`` (R, n, 3) in one pass, at ``DEFAULT_TOL``.
 
-    Accepts and rejects exactly what building
+    Runs the checks of ``Effect`` and ``Povm``, so it accepts and rejects
+    exactly what building
     ``Povm(tuple(Effect(w[r, i], v[r, i]) for i in range(n)))`` row by row
-    does, with the same rounding: the first row that fails raises
-    ``InvalidEffectError`` when one of its effects leaves [0, 1], and
-    ``InvalidPovmError`` when only its completeness residual exceeds the
-    tolerance.  NaN fails both checks.
+    does: the first row that fails raises ``InvalidEffectError`` when one of
+    its effects leaves [0, 1], and ``InvalidPovmError`` when only its
+    completeness residual exceeds the tolerance.  NaN fails both checks.
     """
     w = np.asarray(w, dtype=float)
     v = np.asarray(v, dtype=float)
-    r = bloch_norms(v)
-    lo, hi = w - r, w + r
-    bad_effect = ~((lo >= -DEFAULT_TOL) & (hi <= 1.0 + DEFAULT_TOL))
-    res = np.maximum(np.abs(w.sum(axis=1) - 1.0), bloch_norms(v.sum(axis=1)))
-    bad_row = ~(res <= DEFAULT_TOL)
-    failed = np.flatnonzero(bad_effect.any(axis=1) | bad_row)
-    if not len(failed):
-        return
-    row = failed[0]
-    if bad_effect[row].any():
-        i = np.flatnonzero(bad_effect[row])[0]
-        raise InvalidEffectError(
-            f"effect eigenvalues ({lo[row, i]}, {hi[row, i]}) leave [0, 1] beyond tol={DEFAULT_TOL}"
-        )
-    raise InvalidPovmError(f"completeness residual {res[row]} exceeds tol={DEFAULT_TOL}")
+    failures = [f for f in (_effect_bounds_failure(w, v), _completeness_failure(w, v)) if f]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
 
 
 def random_povms(rng: np.random.Generator, count: int, n_outcomes: int = 3) -> tuple[np.ndarray, np.ndarray]:

@@ -11,9 +11,11 @@ and tested by LDL^T.  The noise threshold's bisection over
 inscribed-cone feasibility checks is the reference for the single parametric LP
 that replaced it.  The one-row-at-a-time POVM sampler and the one-subset-
 at-a-time enclosing ball are the references for their batched library
-versions, which must match them bit for bit; so is the one-POVM-per-call
-collinear sampler for the stacked one in ``cli``.  The samplers and enumerations
-at the end generate test inputs from the library's own types.
+versions, which must match them bit for bit; so are the one-POVM-per-call
+collinear sampler for the stacked one in ``cli``, and the per-state
+simulation loop for the stacked member table of ``verify_simulation``.  The
+samplers and enumerations at the end generate test inputs from the
+library's own types.
 """
 
 from fractions import Fraction
@@ -195,6 +197,39 @@ def noise_threshold_by_bisection(m_first, m_second, polygon_k: int = 64, tol: fl
         else:
             hi = mid
     return lo, hi
+
+
+def simulation_residuals_by_loop(n: int, seed: int) -> tuple[float, float]:
+    """(element residual, statistical residual) of the n-outcome simulation,
+    one member effect and one state at a time: the mixed coordinates add
+    each relabeled effect's coordinates / n in member order, and each of 100
+    ``random_state`` draws compares every parent outcome's Born probability
+    with the label-filtered sum over all member effects, / n."""
+    from trinegame.povm_simulation import equatorial_povm, simulator_set
+    from trinegame.qubit_core import random_state
+
+    parent, sim = equatorial_povm(n), simulator_set(n)
+    coords = np.zeros((n, 4))
+    for member in sim.members:
+        for label, effect in zip(member.labels, member.povm.effects):
+            coords[label] += effect.as_operator().coords / n
+    target = np.stack([e.as_operator().coords for e in parent.povm.effects])
+    element = float(np.max(np.abs(coords - target)))
+
+    rng = np.random.default_rng(seed)
+    statistical = 0.0
+    for _ in range(100):
+        state = random_state(rng)
+        for k in range(n):
+            p_parent = born_probability(state, parent.povm.effects[k])
+            p_mix = sum(
+                born_probability(state, eff)
+                for member in sim.members
+                for label, eff in zip(member.labels, member.povm.effects)
+                if label == k
+            ) / n
+            statistical = max(statistical, abs(p_parent - p_mix))
+    return element, statistical
 
 
 def clip_bloch_parts(w, v, u) -> np.ndarray:

@@ -53,6 +53,15 @@ class TestClassicalValue:
         with pytest.raises(EncodingConstraintError, match="residual"):
             ClassicalStrategy(p, (1, 0, 0), (1, 0, 0))
 
+    @pytest.mark.parametrize("field", ["p", "s", "r"])
+    def test_nan_entries_are_rejected(self, field):
+        # NaN passes every "x < bound" test, so each check must fail it
+        table = {"p": np.full((3, 2), 0.5), "s": np.array([1.0, 0.0, 0.0]), "r": np.array([0.0, 0.0, 1.0])}
+        table[field][0] = np.nan
+        error = EncodingConstraintError if field == "p" else ValueError
+        with pytest.raises(error):
+            ClassicalStrategy(table["p"], table["s"], table["r"])
+
     def test_matches_game_simulation_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(300):

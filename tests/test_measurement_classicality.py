@@ -9,7 +9,6 @@ from trinegame.measurement_classicality import (
     CoplanarityError,
     PartitionedEnsemble,
     add_noise,
-    all_effects_collinear,
     antidistinguishing_povm,
     best_axis_fit,
     carmeli_ensemble,
@@ -27,6 +26,7 @@ from trinegame.measurement_classicality import (
 )
 from trinegame.povm_simulation import simulator_set
 from trinegame.qubit_core import (
+    DEFAULT_TOL,
     DensityState,
     Effect,
     Povm,
@@ -58,6 +58,14 @@ def solves(monkeypatch):
 
     monkeypatch.setattr(LpFamily, "maximize", recording_maximize)
     return solutions
+
+
+@pytest.fixture(scope="module")
+def seeded_povms():
+    """1,000 seeded POVMs: even rows from the general sampler, odd rows
+    collinear by construction."""
+    rng = np.random.default_rng(31415)
+    return [oracles.random_collinear_povm(rng) if idx % 2 else random_povm(rng, 3) for idx in range(1000)]
 
 
 def planar_rank_one_povm(rng: np.random.Generator) -> Povm:
@@ -124,10 +132,13 @@ class TestEnsembles:
         assert all(st.is_pure(1e-12) for st in ens.part0 + ens.part1)
 
     def test_pair_ensemble_reduces_to_printed_one(self):
-        ens = ensemble_for_simulator_pair(0, 1)
-        ref = carmeli_ensemble()
-        for a, b in zip(ens.part0 + ens.part1, ref.part0 + ref.part1):
-            assert np.allclose(a.bloch, b.bloch, atol=1e-14)
+        # in floats t + 2t == 3t and t + 3t == 4t for t = 2 pi / 5, so the
+        # pair (0, 1) rotation lands exactly on the printed angles
+        t = 2 * np.pi / 5
+        printed = [xz_direction(a) for a in (0.0, 2 * t, 3 * t, t, 3 * t, 4 * t)]
+        ens = carmeli_ensemble()
+        for state, direction in zip(ens.part0 + ens.part1, printed):
+            assert np.array_equal(state.bloch, direction)
 
 
 class TestMinEnclosingBall:
@@ -427,47 +438,68 @@ class TestCoherenceDetection:
         gap = born_probability(rho, effect) - born_probability(dephase(rho, basis), effect)
         assert gap == pytest.approx(report.max_off_axis, abs=1e-12)
 
+    @pytest.mark.parametrize("direction", [(np.nan, 0.0, 1.0), (np.inf, 0.0, 0.0), (0.0, 0.0, 1e-15), (0, 0, 0)])
+    def test_basis_direction_must_be_finite_and_nonzero(self, direction):
+        with pytest.raises(ValueError, match="basis direction"):
+            is_free_povm(TRINE_POVM, direction)
+        with pytest.raises(ValueError, match="basis direction"):
+            dephase(TRINE_STATES[0], direction)
+
     def test_trine_not_free_in_any_basis(self):
         report = is_free_in_any_basis(TRINE_POVM)
-        assert not report.free_in_some_basis
-        assert report.witness_value > 0.28
+        assert not report.free
+        assert report.max_off_axis > 0.28
 
     def test_degenerate_extremes_are_free(self):
         psi0 = xz_direction(-np.pi / 6)
         sharp1 = povm_from_weighted_projectors((1.0, 0.5, 0.5), [psi0, -psi0, -psi0])
-        assert is_free_povm(sharp1, psi0).free
-        assert is_free_in_any_basis(sharp1).free_in_some_basis
+        # a free report still gives its largest off-axis magnitude, and no witness
+        for report in (is_free_povm(sharp1, psi0), is_free_in_any_basis(sharp1)):
+            assert report.free and report.witness_state is None and report.witness_effect is None
+            assert 0.0 <= report.max_off_axis <= DEFAULT_TOL
         sharp0 = Povm(
             (Effect(0.0, (0, 0, 0)), Effect(0.5, 0.5 * psi0), Effect(0.5, -0.5 * psi0))
         )
-        assert is_free_in_any_basis(sharp0).free_in_some_basis
+        assert is_free_in_any_basis(sharp0).free
 
     def test_zero_bloch_povm_free_in_any_basis(self):
         flat = Povm((Effect(0.5, (0, 0, 0)), Effect(0.5, (0, 0, 0))))
-        assert is_free_in_any_basis(flat).free_in_some_basis
+        assert is_free_in_any_basis(flat).free
 
-    def test_three_formulations_agree_on_1000_random(self):
-        rng = np.random.default_rng(31415)
-        povms = []
-        for idx in range(1000):
-            povm = oracles.random_collinear_povm(rng) if idx % 2 else random_povm(rng, 3)
-            a = all_effects_collinear(povm)
-            b = oracles.commutators_vanish(povm)
-            c = is_free_in_any_basis(povm).free_in_some_basis
-            assert a == b == c
-            if idx % 2:
-                assert a  # constructed collinear samples must classify as free
-            povms.append(povm)
-        # the stacked kernels give each row the verdict of its one-POVM wrapper
-        vecs = np.array([[e.vec for e in povm.effects] for povm in povms])
+    def test_three_formulations_agree_on_1000_random(self, seeded_povms):
+        vecs = np.array([[e.vec for e in povm.effects] for povm in seeded_povms])
+        pairwise = pairwise_collinear(vecs)
+        reports = [is_free_in_any_basis(povm) for povm in seeded_povms]
+        assert pairwise.tolist() == [oracles.commutators_vanish(p) for p in seeded_povms]
+        assert pairwise.tolist() == [report.free for report in reports]
+        assert pairwise[1::2].all()  # constructed collinear samples must classify as free
+        # each one-POVM report is its row of the stacked fit, free or not
         fit = best_axis_fit(vecs)
-        assert pairwise_collinear(vecs).tolist() == [all_effects_collinear(p) for p in povms]
-        assert fit.free.tolist() == [is_free_in_any_basis(p).free_in_some_basis for p in povms]
-        for row in range(0, 1000, 2):
-            report = is_free_in_any_basis(povms[row])
-            assert fit.magnitudes[row].max() == report.witness_value
-            assert np.array_equal(fit.off_axis[row, report.witness_effect] / report.witness_value,
-                                  report.witness_state.bloch)
+        for row, report in enumerate(reports):
+            assert report.free == fit.free[row]
+            assert np.array_equal(report.axis, fit.axis[row])
+            assert report.max_off_axis == fit.magnitudes[row].max()
+            if report.free:
+                assert report.witness_state is None and report.witness_effect is None
+            else:
+                assert np.array_equal(fit.off_axis[row, report.witness_effect] / report.max_off_axis,
+                                      report.witness_state.bloch)
+
+    def test_witness_detects_the_reported_coherence(self, seeded_povms):
+        # every row that is not free, for its fitted axis and for a fixed one:
+        # the witness state loses exactly max_off_axis of the witness
+        # effect's probability under dephasing
+        fixed = xz_direction(0.3)
+        checked = 0
+        for povm in seeded_povms:
+            for report in (is_free_in_any_basis(povm), is_free_povm(povm, fixed)):
+                if report.free:
+                    continue
+                effect, rho = povm.effects[report.witness_effect], report.witness_state
+                gap = born_probability(rho, effect) - born_probability(dephase(rho, report.axis), effect)
+                assert gap == pytest.approx(report.max_off_axis, abs=1e-12)
+                checked += 1
+        assert checked == 1500  # all 500 general rows twice, the 500 collinear ones for the fixed axis
 
     def test_kernels_accept_an_empty_stack(self):
         empty = np.zeros((0, 3, 3))
@@ -487,10 +519,10 @@ class TestCoherenceDetection:
             )
         )
         report = is_free_in_any_basis(povm)
-        assert not all_effects_collinear(povm)
+        assert not pairwise_collinear(np.array([[e.vec for e in povm.effects]]))[0]
         assert not oracles.commutators_vanish(povm)
-        assert not report.free_in_some_basis
-        assert report.witness_value == pytest.approx(1e-5 / np.sqrt(2), rel=1e-6)
+        assert not report.free
+        assert report.max_off_axis == pytest.approx(1e-5 / np.sqrt(2), rel=1e-6)
 
     def test_formulations_agree_on_scaled_samples(self):
         # scaled copies of sampler POVMs, general and collinear, at scales

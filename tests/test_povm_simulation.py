@@ -73,10 +73,24 @@ class TestSimulatorSet:
 class TestSimulationIdentity:
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
     def test_mixture_reproduces_parent(self, n):
-        report = verify_simulation(n, tol=1e-12, n_states=100, seed=1)
+        report = verify_simulation(n, tol=1e-12, seed=1)
         assert report.passed
         assert report.element_residual < 1e-12
         assert report.statistical_residual < 1e-12
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+    def test_residuals_match_the_per_state_loop_bit_for_bit(self, n):
+        for seed in range(50):
+            report = verify_simulation(n, seed=seed)
+            expected = oracles.simulation_residuals_by_loop(n, seed)
+            assert (report.element_residual, report.statistical_residual) == expected, seed
+
+    def test_member_table_lists_the_member_effects_in_order(self):
+        sim = simulator_set(7)
+        effects = [e for member in sim.members for e in member.povm.effects]
+        assert sim.labels.tolist() == [label for member in sim.members for label in member.labels]
+        assert sim.weights.tolist() == [e.weight for e in effects]
+        assert np.array_equal(sim.vecs, [e.vec for e in effects])
 
     def test_mixture_matches_complex_matrix_oracle(self):
         sim = simulator_set(5)

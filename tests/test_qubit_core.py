@@ -16,7 +16,6 @@ from trinegame.qubit_core import (
     Povm,
     bloch_norms,
     born_probability,
-    completeness_residual,
     povm_from_weighted_projectors,
     projector_effect,
     random_povm,
@@ -142,7 +141,8 @@ class TestValidatePovm:
     def test_trine_passes(self):
         povm = povm_from_weighted_projectors([2 / 3] * 3, TRINE_DIRS)
         assert oracles.is_povm(povm.effects)
-        assert completeness_residual(povm.effects) < 1e-15
+        assert abs(sum(e.weight for e in povm.effects) - 1.0) < 1e-15
+        assert np.linalg.norm(np.sum([e.vec for e in povm.effects], axis=0)) < 1e-15
 
     def test_two_half_identities_pass(self):
         povm = Povm((Effect(0.5, (0, 0, 0)),) * 2)
@@ -150,13 +150,13 @@ class TestValidatePovm:
 
     def test_missing_element_fails_with_third_residual(self):
         effects = [projector_effect(TRINE_DIRS[0], 2 / 3), projector_effect(TRINE_DIRS[1], 2 / 3)]
-        with pytest.raises(InvalidPovmError):
+        # the reported residual is the identity-coefficient gap 1/3
+        with pytest.raises(InvalidPovmError, match=r"completeness residual 0\.33333333333"):
             Povm(tuple(effects))
         assert not oracles.is_povm(effects)
         # oracle: I - sum has trace 2/3, so the identity-coefficient gap is 1/3
         gap = oracles.IDENTITY - sum(oracles.effect_matrix(e) for e in effects)
         assert np.real(np.trace(gap)) / 2 == pytest.approx(1 / 3, abs=1e-15)
-        assert completeness_residual(effects) == pytest.approx(1 / 3, abs=1e-12)
 
     def test_completeness_tolerance_boundary(self):
         # residual on the identity coefficient, then on the Bloch parts
