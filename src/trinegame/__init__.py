@@ -54,6 +54,7 @@ from .measurement_classicality import (
     PartitionedEnsemble,
     antidistinguishing_povm,
     carmeli_ensemble,
+    certified_incompatible,
     dephase,
     guessing_report,
     is_free_in_any_basis,

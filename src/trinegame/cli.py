@@ -182,13 +182,12 @@ def cmd_incompat(args) -> int:
     report = mc.guessing_report(ensemble, sim.members[0].povm, sim.members[1].povm)
     dual_margin = report.dual_feasibility_margin(ensemble)
 
-    incompatible_pairs = 0
-    for o in range(5):
-        for o2 in range(o + 1, 5):
-            verdict = mc.joint_measurability_check(
-                sim.members[o].povm, sim.members[o2].povm, polygon_k=args.polygon_k
-            ).verdict
-            incompatible_pairs += verdict == "incompatible"
+    members = [member.povm for member in sim.members]
+    incompatible_pairs = sum(
+        mc.certified_incompatible(members[o], members[o2], args.polygon_k)
+        for o in range(5)
+        for o2 in range(o + 1, 5)
+    )
 
     records = [
         _record("p_prior", report.p_prior, 2.0 / 3.0, 1e-12, abs(report.p_prior - 2.0 / 3.0) <= 1e-12),

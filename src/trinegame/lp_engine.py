@@ -8,13 +8,17 @@ bound flips in the ratio test).  Problem sizes here are at most tens of rows
 and hundreds of columns; no sparse machinery is warranted.
 
 Pricing is Dantzig's: the favourable column with the largest |reduced cost|
-enters.  After DEGENERATE_RUN consecutive degenerate steps (step length at
-most 1e-12) the entering column is chosen by Bland's smallest-index rule
-instead, until the next step that moves the point.  Bland's rule cannot
-cycle through a degenerate stall and every step that moves raises the
-objective, so no basis repeats and every solve terminates.  In the ratio
-test the smallest basic index leaves among rows whose ratio is within 1e-12
-of the minimum.  Solves are deterministic.
+enters, the first one on a tie.  After DEGENERATE_RUN consecutive degenerate
+steps (step length at most 1e-12) the entering column is chosen by Bland's
+smallest-index rule instead, until the next step that moves the point.
+Bland's rule cannot cycle through a degenerate stall and every step that
+moves raises the objective, so no basis repeats and every solve terminates.
+In the ratio test the smallest basic index leaves among rows whose ratio is
+within 1e-12 of the minimum.  Solves are deterministic.  Each iteration
+recomputes the reduced costs from the cost vector and the tableau, never
+updates them incrementally, and eliminates with one rank-one update.  After
+phase 1 an artificial still basic is pivoted out on an entry above
+FEASIBILITY_TOL, or its row is dropped as redundant.
 
 Inconsistent sizes, a non-finite lower bound or a lower bound above its
 upper bound raise LpDimensionError.  Each "optimal" point is checked against
@@ -104,7 +108,7 @@ class _Dictionary:
         rhs[row] /= piv
         factors = tab[:, col].copy()
         factors[row] = 0.0
-        tab -= np.outer(factors, tab[row])
+        tab -= factors[:, None] * tab[row]
         rhs -= factors * rhs[row]
         tab[:, col] = 0.0
         tab[row, col] = 1.0
@@ -119,35 +123,40 @@ class _Dictionary:
         """Maximize cost.y; returns "optimal" or "unbounded".
 
         Dantzig pricing, switching to Bland's rule after DEGENERATE_RUN
-        consecutive degenerate steps until the next step that moves.
+        consecutive degenerate steps until the next step that moves.  Both
+        picks take the first favourable column that attains them.  A basic
+        variable can leave at its upper bound only when its span is finite,
+        so without finite spans the upper-bound ratios are skipped.
         """
         tab, span = self.tab, self.span
         enterable = span > PIVOT_TOL
+        bounded = np.isfinite(span)
+        any_bounded = bool(bounded.any())
         degenerate = 0
         for _ in range(_MAX_ITERS):
             reduced = cost - cost[self.basis] @ tab
-            favorable = enterable & ~self.is_basic & np.where(
-                self.at_upper, reduced < -PIVOT_TOL, reduced > PIVOT_TOL
-            )
-            idx = np.flatnonzero(favorable)
-            if idx.size == 0:
+            favorable = np.where(self.at_upper, reduced < -PIVOT_TOL, reduced > PIVOT_TOL)
+            favorable &= enterable
+            favorable[self.is_basic] = False
+            if not favorable.any():
                 return "optimal"
             if degenerate < DEGENERATE_RUN:
-                j = int(idx[np.argmax(np.abs(reduced[idx]))])
+                j = int(np.where(favorable, np.abs(reduced), -1.0).argmax())
             else:
-                j = int(idx[0])
+                j = int(favorable.argmax())
             sigma = -1.0 if self.at_upper[j] else 1.0
             col = sigma * tab[:, j]
             beta = self.basic_values()
 
             # ratio test: how far the entering variable can move before a
             # basic variable hits its lower (col > 0) or upper (col < 0) bound
-            basic_span = span[self.basis]
             to_lower = col > PIVOT_TOL
-            to_upper = (col < -PIVOT_TOL) & np.isfinite(basic_span)
             ratios = np.full(col.size, np.inf)
             ratios[to_lower] = np.maximum(beta[to_lower], 0.0) / col[to_lower]
-            ratios[to_upper] = np.maximum(basic_span[to_upper] - beta[to_upper], 0.0) / -col[to_upper]
+            if any_bounded:
+                basic_span = span[self.basis]
+                to_upper = (col < -PIVOT_TOL) & bounded[self.basis]
+                ratios[to_upper] = np.maximum(basic_span[to_upper] - beta[to_upper], 0.0) / -col[to_upper]
             row_min = ratios.min(initial=np.inf)
             step = min(span[j], row_min)
             if not np.isfinite(step):
@@ -155,11 +164,11 @@ class _Dictionary:
             degenerate = degenerate + 1 if step <= 1e-12 else 0
             if row_min <= span[j] + 1e-12:
                 # smallest basic variable index among the minimal ratios leaves
-                ties = np.flatnonzero(ratios <= row_min + 1e-12)
+                ties = (ratios <= row_min + 1e-12).nonzero()[0]
                 leave_row = int(ties[np.argmin(self.basis[ties])])
                 leaving = self.basis[leave_row]
                 self._pivot(leave_row, j)
-                self.at_upper[leaving] = to_upper[leave_row]
+                self.at_upper[leaving] = any_bounded and to_upper[leave_row]
             else:
                 # entering variable flips to its other bound
                 self.at_upper[j] = not self.at_upper[j]
@@ -170,7 +179,11 @@ class _Dictionary:
 
         Each artificial leaves on the row's largest nonbasic structural
         entry: the first entry above PIVOT_TOL may be tiny, and dividing by
-        it drifts the tableau.
+        it drifts the tableau.  A row whose largest entry is at most
+        FEASIBILITY_TOL is dropped as redundant: on a redundant row that
+        entry is elimination drift (1.1e-11 on one 18-row joint LP), and a
+        pivot on it sets a basic variable to a wrong, possibly negative,
+        value.
         """
         n = self.n_struct
         redundant = []
@@ -179,7 +192,7 @@ class _Dictionary:
                 continue
             entries = np.where(self.is_basic[:n], 0.0, np.abs(self.tab[row, :n]))
             piv_col = int(np.argmax(entries))
-            if entries[piv_col] > PIVOT_TOL:
+            if entries[piv_col] > FEASIBILITY_TOL:
                 self._pivot(row, piv_col)
             else:
                 redundant.append(row)

@@ -13,10 +13,11 @@ Four independent certificates live here:
   the dual optimum exactly;
 * direct joint-measurability feasibility for coplanar POVM pairs, with the
   positivity cone replaced by inscribed (feasible => compatible) and
-  circumscribed (infeasible => incompatible) polygon cones, both plain LPs;
-  white noise scales only the Bloch parts, so the largest noise level the
-  inscribed cone certifies compatible is one more LP, with the noise level
-  as a variable;
+  circumscribed (infeasible => incompatible) polygon cones, both plain LPs,
+  and the circumscribed LP alone certifies incompatibility; white noise
+  scales only the Bloch parts, so the largest noise level the inscribed
+  cone certifies compatible is one more LP, with the noise level as a
+  variable;
 * coherence detection: a POVM is free for a basis iff every effect Bloch
   vector is collinear with the basis axis; free in some basis iff all
   effect vectors are pairwise collinear, with the best witness state lying
@@ -285,7 +286,10 @@ def _plane_coords(m_first: Povm, m_second: Povm) -> np.ndarray:
     """(2, 3, 3) array: (weight, e1 part, e2 part) of each effect of the two
     three-outcome POVMs, in an orthonormal basis (e1, e2) of the plane that
     holds all their Bloch vectors (the third singular value at most
-    ``DEFAULT_TOL`` times the first)."""
+    ``DEFAULT_TOL`` times the first).  ValueError for another outcome
+    count, CoplanarityError without a common plane."""
+    if len(m_first) != 3 or len(m_second) != 3:
+        raise ValueError("expected three-outcome measurements")
     effects = m_first.effects + m_second.effects
     vecs = np.array([e.vec for e in effects])
     nonzero = vecs[np.linalg.norm(vecs, axis=1) > 1e-13]
@@ -319,20 +323,44 @@ def _cone_feasible(coords: np.ndarray, generators: np.ndarray) -> bool:
     return LpFamily(a, coords.reshape(-1), zero, np.full(zero.size, np.inf)).maximize(zero).status == "optimal"
 
 
-def _polygon_generators(coords: np.ndarray, k: int, radius: float, include_inputs: bool) -> np.ndarray:
-    """Vertices of the regular k-gon of the given radius, plus the unit
-    in-plane directions of the nonzero input effects when include_inputs.
-    Fewer than three vertices cannot surround the disc, so k < 3 raises."""
+def _polygon_generators(coords: np.ndarray, k: int, circumscribed: bool) -> np.ndarray:
+    """Generator directions of a polygon cone.  Inscribed: the vertices of
+    the regular unit k-gon plus the unit in-plane directions of the nonzero
+    input effects.  Circumscribed: the vertices of the regular k-gon of
+    radius sec(pi/k), which holds the unit disc.  Fewer than three vertices
+    cannot surround the disc, so k < 3 raises."""
     if k < 3:
         raise ValueError(f"polygon_k must be at least 3, got {k}")
     angles = 2.0 * np.pi * np.arange(k) / k
-    gens = radius * np.column_stack([np.cos(angles), np.sin(angles)])
-    if include_inputs:
-        planar = coords[:, :, 1:].reshape(6, 2)
-        norms = np.linalg.norm(planar, axis=1)
-        keep = norms > 1e-12
-        gens = np.vstack([gens, planar[keep] / norms[keep, None]])
-    return gens
+    gens = np.column_stack([np.cos(angles), np.sin(angles)])
+    if circumscribed:
+        return (1.0 / np.cos(np.pi / k)) * gens
+    planar = coords[:, :, 1:].reshape(6, 2)
+    norms = np.linalg.norm(planar, axis=1)
+    keep = norms > 1e-12
+    return np.vstack([gens, planar[keep] / norms[keep, None]])
+
+
+def _circumscribed_feasible(coords: np.ndarray, polygon_k: int) -> bool:
+    """Whether the joint LP over the circumscribed polygon cone is feasible.
+    That cone holds the positivity cone, so infeasibility proves the pair
+    incompatible."""
+    return _cone_feasible(coords, _polygon_generators(coords, polygon_k, circumscribed=True))
+
+
+def certified_incompatible(m_first: Povm, m_second: Povm, polygon_k: int = 64) -> bool:
+    """True exactly when the circumscribed-cone LP of
+    ``joint_measurability_check`` is infeasible, which proves the pair
+    incompatible; one LP.
+
+    This is the check's "incompatible" verdict: that verdict needs both
+    cone LPs infeasible, and the inscribed cone (unit generators) lies
+    inside the circumscribed one, so an infeasible circumscribed LP makes
+    the inscribed one infeasible too.  The input checks are the check's:
+    three outcomes, a common plane and polygon_k at least 3.
+    """
+    coords = _plane_coords(m_first, m_second)
+    return not _circumscribed_feasible(coords, polygon_k)
 
 
 def joint_measurability_check(m_first: Povm, m_second: Povm, polygon_k: int = 64) -> JointMeasurabilityResult:
@@ -344,15 +372,19 @@ def joint_measurability_check(m_first: Povm, m_second: Povm, polygon_k: int = 64
     directions are added to the inscribed generators so exact rank-one
     joints such as G_ij = delta_ij E_i stay representable.  polygon_k must
     be at least 3.
+
+    The inscribed LP runs first, and the circumscribed LP, the one of
+    ``certified_incompatible``, only when it is infeasible.  The order
+    matters on degenerate pairs: on planar rank-one self-pairs the
+    circumscribed LP can fail numerically (LpNumericalError) where the
+    inscribed one answers "compatible".  A caller that needs only the
+    "incompatible" verdict calls ``certified_incompatible``, one LP.
     """
-    if len(m_first) != 3 or len(m_second) != 3:
-        raise ValueError("expected three-outcome measurements")
     coords = _plane_coords(m_first, m_second)
-    inner = _cone_feasible(coords, _polygon_generators(coords, polygon_k, 1.0, True))
+    inner = _cone_feasible(coords, _polygon_generators(coords, polygon_k, circumscribed=False))
     if inner:
         return JointMeasurabilityResult("compatible", True, True, polygon_k)
-    outer_radius = 1.0 / np.cos(np.pi / polygon_k)
-    outer = _cone_feasible(coords, _polygon_generators(coords, polygon_k, outer_radius, False))
+    outer = _circumscribed_feasible(coords, polygon_k)
     verdict = "incompatible" if not outer else "undecided"
     return JointMeasurabilityResult(verdict, False, outer, polygon_k)
 
@@ -385,12 +417,10 @@ def noise_compatibility_threshold(
     # 2**-52 is the spacing of the doubles just below 1: a finer grid has no points there
     if not (np.isfinite(tol) and tol >= 2.0**-52):
         raise ValueError(f"tol must be finite and >= 2**-52, got {tol}")
-    if len(m_first) != 3 or len(m_second) != 3:
-        raise ValueError("expected three-outcome measurements")
     coords = _plane_coords(m_first, m_second)
     weights = coords.copy()
     weights[:, :, 1:] = 0.0
-    cone = _joint_lp(_polygon_generators(coords, polygon_k, 1.0, True))
+    cone = _joint_lp(_polygon_generators(coords, polygon_k, circumscribed=False))
     a = np.hstack([cone, -(coords - weights).reshape(-1, 1)])
     eta_only = np.zeros(a.shape[1])
     eta_only[-1] = 1.0  # eta is the last variable, in [0, 1]; the cone weights are unbounded

@@ -3,7 +3,9 @@
 The library never touches complex matrices; these helpers rebuild every
 operator as an explicit complex 2x2 matrix so eigenvalues, traces and Born
 probabilities can be cross-checked against numpy's eigensolver.  The LP
-oracle enumerates basic points of small box LPs directly.  The quantum
+oracle enumerates basic points of small box LPs directly, and the simplex
+step with index-list pricing and ``np.outer`` elimination is the reference
+for the engine's leaner step, which must match it bit for bit.  The quantum
 value has a closed form on the whole weight triangle, and the measurement
 subproblem's dual is minimized by ``scipy.optimize.minimize``.  The exact
 dual certificate of the quantum value is rebuilt in ``Fraction`` arithmetic
@@ -111,6 +113,73 @@ def lp_best_vertex_value(c, a, b, lower, upper, tol: float = 1e-9) -> float:
     return best
 
 
+def pivot_by_outer(d, row: int, col: int):
+    """Reference for ``lp_engine._Dictionary._pivot``: the elimination
+    subtracts ``np.outer(factors, tab[row])``."""
+    tab, rhs = d.tab, d.rhs
+    piv = tab[row, col]
+    tab[row] /= piv
+    rhs[row] /= piv
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    tab -= np.outer(factors, tab[row])
+    rhs -= factors * rhs[row]
+    tab[:, col] = 0.0
+    tab[row, col] = 1.0
+    leaving = d.basis[row]
+    d.is_basic[leaving] = False
+    d.is_basic[col] = True
+    d.at_upper[col] = False
+    d.basis[row] = col
+    d.pivots += 1
+
+
+def simplex_run_by_index_lists(d, cost) -> str:
+    """Reference for ``lp_engine._Dictionary.run``: the same pricing, ratio
+    test and tie-break, with the favourable columns gathered as an index
+    list and the upper-bound ratios computed on every iteration."""
+    from trinegame.lp_engine import _MAX_ITERS, DEGENERATE_RUN, PIVOT_TOL, LpNumericalError
+
+    tab, span = d.tab, d.span
+    enterable = span > PIVOT_TOL
+    degenerate = 0
+    for _ in range(_MAX_ITERS):
+        reduced = cost - cost[d.basis] @ tab
+        favorable = enterable & ~d.is_basic & np.where(
+            d.at_upper, reduced < -PIVOT_TOL, reduced > PIVOT_TOL
+        )
+        idx = np.flatnonzero(favorable)
+        if idx.size == 0:
+            return "optimal"
+        if degenerate < DEGENERATE_RUN:
+            j = int(idx[np.argmax(np.abs(reduced[idx]))])
+        else:
+            j = int(idx[0])
+        sigma = -1.0 if d.at_upper[j] else 1.0
+        col = sigma * tab[:, j]
+        beta = d.basic_values()
+        basic_span = span[d.basis]
+        to_lower = col > PIVOT_TOL
+        to_upper = (col < -PIVOT_TOL) & np.isfinite(basic_span)
+        ratios = np.full(col.size, np.inf)
+        ratios[to_lower] = np.maximum(beta[to_lower], 0.0) / col[to_lower]
+        ratios[to_upper] = np.maximum(basic_span[to_upper] - beta[to_upper], 0.0) / -col[to_upper]
+        row_min = ratios.min(initial=np.inf)
+        step = min(span[j], row_min)
+        if not np.isfinite(step):
+            return "unbounded"
+        degenerate = degenerate + 1 if step <= 1e-12 else 0
+        if row_min <= span[j] + 1e-12:
+            ties = np.flatnonzero(ratios <= row_min + 1e-12)
+            leave_row = int(ties[np.argmin(d.basis[ties])])
+            leaving = d.basis[leave_row]
+            d._pivot(leave_row, j)
+            d.at_upper[leaving] = to_upper[leave_row]
+        else:
+            d.at_upper[j] = not d.at_upper[j]
+    raise LpNumericalError("simplex iteration limit exceeded")
+
+
 def quantum_value_closed_form(alpha) -> float:
     """P_Q(alpha) = 1/3 + F/12, with F the weighted Fermat-Torricelli value
     of the trine's measurement targets, an equilateral triangle of side 3.
@@ -185,7 +254,7 @@ def noise_threshold_by_bisection(m_first, m_second, polygon_k: int = 64, tol: fl
 
     def compatible(eta):
         coords = _plane_coords(add_noise(m_first, eta), add_noise(m_second, eta))
-        return _cone_feasible(coords, _polygon_generators(coords, polygon_k, 1.0, True))
+        return _cone_feasible(coords, _polygon_generators(coords, polygon_k, circumscribed=False))
 
     lo, hi = 0.0, 1.0
     if compatible(1.0):

@@ -157,6 +157,21 @@ class TestIncompat:
         assert values["witness_margin"] > 0.02
         assert values["pairs_incompatible"] == 10
 
+    def test_one_lp_per_pair(self, tmp_path, monkeypatch):
+        # certified_incompatible solves only the circumscribed-cone LP of each
+        # of the ten simulator pairs; the guessing report solves none
+        built = []
+        init = lp_engine.LpFamily.__init__
+
+        def counting_init(family, *args):
+            built.append(family)
+            init(family, *args)
+
+        monkeypatch.setattr(lp_engine.LpFamily, "__init__", counting_init)
+        code, _ = run(["incompat", "--polygon-k", "64"], tmp_path, "inc.json")
+        assert code == 0
+        assert len(built) == 10
+
     def test_lp_failure_exits_with_code_three(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(lp_engine, "_MAX_ITERS", 1)
         out = tmp_path / "inc.json"

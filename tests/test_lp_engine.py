@@ -8,6 +8,7 @@ from trinegame import classical_bound, lp_engine, nc_bound
 from trinegame import measurement_classicality as mc
 from trinegame.lp_engine import LpDimensionError, LpFamily, LpNumericalError
 from trinegame.povm_simulation import simulator_set
+from trinegame.quantum_opt import AlphaTriple
 
 import oracles
 
@@ -111,6 +112,86 @@ class TestNumericalGuards:
             LpFamily([[1.0, 1.0]], [1.0], [0, 0], [1, 1]).maximize([1.0, 1.0])
 
 
+def recorded_solve_set(monkeypatch) -> list:
+    """Every LpSolution of 203 solves, in call order: the inscribed- and
+    circumscribed-cone LPs and the noise LP of each of the ten five-outcome
+    simulator pairs at k = 8, 16 and 64 (90), ``nc_value`` on the 101-point
+    alpha1 = alpha2 slice of ``curve``, ``nc_global_max`` (3) and
+    ``optimize_classical`` (9).  The NC family is built afresh, so its
+    phase 1 runs here too."""
+    solutions = []
+    maximize = LpFamily.maximize
+
+    def recording_maximize(family, objective):
+        solutions.append(maximize(family, objective))
+        return solutions[-1]
+
+    members = [m.povm for m in simulator_set(5).members]
+    with monkeypatch.context() as patch:
+        patch.setattr(LpFamily, "maximize", recording_maximize)
+        patch.setattr(nc_bound, "_FAMILY", None)
+        for k in (8, 16, 64):
+            for o in range(5):
+                for o2 in range(o + 1, 5):
+                    coords = mc._plane_coords(members[o], members[o2])
+                    for circumscribed in (False, True):
+                        a = mc._joint_lp(mc._polygon_generators(coords, k, circumscribed))
+                        zero = np.zeros(a.shape[1])
+                        LpFamily(a, coords.reshape(-1), zero, np.full(zero.size, np.inf)).maximize(zero)
+                    mc.noise_compatibility_threshold(members[o], members[o2], k)
+        for i in range(101):
+            nc_bound.nc_value(AlphaTriple.symmetric(round(i * 0.01, 12)))
+        nc_bound.nc_global_max()
+        classical_bound.optimize_classical()
+    return solutions
+
+
+class TestAgainstSimplexOracle:
+    def test_solves_match_the_index_list_step_bit_for_bit(self, monkeypatch):
+        # tests/oracles.py keeps the simplex step with index-list pricing and
+        # np.outer elimination; the arithmetic is the same, so every solve
+        # must be too, down to the bytes of x and the pivot counts
+        fast = recorded_solve_set(monkeypatch)
+        reference = self.with_oracle_step(monkeypatch, recorded_solve_set, monkeypatch)
+        assert len(fast) == 203
+        assert {s.status for s in fast} == {"optimal", "infeasible"}
+        self.assert_bit_identical(fast, reference)
+
+    def test_bland_picks_match_the_oracle_bit_for_bit(self, monkeypatch):
+        # Bland's rule from the first step, on LPs that stay accurate under
+        # it: 100 random box LPs and the NC LP on the 101-point slice
+        def solves():
+            rng = np.random.default_rng(123)
+            out = [lp.maximize(c) for c, lp in (random_feasible_lp(rng) for _ in range(100))]
+            family = LpFamily(nc_bound.EQ_MATRIX, nc_bound.EQ_RHS, np.zeros(nc_bound.N_VARS), np.ones(nc_bound.N_VARS))
+            for i in range(101):
+                out.append(family.maximize(nc_bound.objective_vector(AlphaTriple.symmetric(round(i * 0.01, 12)))))
+            return out
+
+        monkeypatch.setattr(lp_engine, "DEGENERATE_RUN", 0)
+        fast = solves()
+        assert sum(s.phase2_pivots for s in fast) > 0
+        self.assert_bit_identical(fast, self.with_oracle_step(monkeypatch, solves))
+
+    @staticmethod
+    def with_oracle_step(monkeypatch, solves, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_engine._Dictionary, "run", oracles.simplex_run_by_index_lists)
+            patch.setattr(lp_engine._Dictionary, "_pivot", oracles.pivot_by_outer)
+            return solves(*args)
+
+    @staticmethod
+    def assert_bit_identical(fast, reference):
+        assert len(fast) == len(reference)
+        for idx, (got, want) in enumerate(zip(fast, reference)):
+            assert (got.status, got.phase1_pivots, got.phase2_pivots) == (
+                want.status, want.phase1_pivots, want.phase2_pivots
+            ), idx
+            assert repr(got.value) == repr(want.value), idx
+            assert got.phase1_objective == want.phase1_objective, idx
+            assert (got.x is None and want.x is None) or got.x.tobytes() == want.x.tobytes(), idx
+
+
 class TestPivotCounts:
     def test_family_shares_phase1_count(self):
         rng = np.random.default_rng(5)
@@ -155,10 +236,10 @@ def joint_measurability_lps():
             for o2 in range(o + 1, 5):
                 first, second = mc.add_noise(members[o], eta), mc.add_noise(members[o2], eta)
                 coords = mc._plane_coords(first, second)
-                for radius, include_inputs in ((1.0, True), (1.0 / np.cos(np.pi / k), False)):
-                    a = mc._joint_lp(mc._polygon_generators(coords, k, radius, include_inputs))
+                for circumscribed in (False, True):
+                    a = mc._joint_lp(mc._polygon_generators(coords, k, circumscribed))
                     n = a.shape[1]
-                    yield (eta, o, o2, include_inputs), LpFamily(a, coords.reshape(-1), np.zeros(n), np.full(n, np.inf))
+                    yield (eta, o, o2, circumscribed), LpFamily(a, coords.reshape(-1), np.zeros(n), np.full(n, np.inf))
 
 
 class TestAgainstHighs:

@@ -1,5 +1,7 @@
 """Incompatibility witnesses, joint measurability, coherence detection."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from trinegame.measurement_classicality import (
     antidistinguishing_povm,
     best_axis_fit,
     carmeli_ensemble,
+    certified_incompatible,
     dephase,
     ensemble_for_simulator_pair,
     guessing_report,
@@ -286,6 +289,37 @@ class TestJointMeasurability:
 
     def test_first_pair_incompatible(self):
         assert joint_measurability_check(M0, M1).verdict == "incompatible"
+        assert certified_incompatible(M0, M1) is True
+
+    def test_redundant_row_drift_is_not_a_pivot(self):
+        # the seventh POVM of this stream, paired with itself: three of the 18
+        # rows of its circumscribed-cone LP are redundant, and one carries a
+        # 1.1e-11 entry after phase 1; pivoting an artificial out on it set a
+        # basic value to -0.062, and the solve raised LpNumericalError
+        rng = np.random.default_rng(7)
+        povm = [planar_rank_one_povm(rng) for _ in range(7)][-1]
+        assert certified_incompatible(povm, povm, 64) is False
+
+    @pytest.mark.parametrize("polygon_k", [3, 4, 6, 8, 16, 64, 128])
+    def test_certified_incompatible_is_the_incompatible_verdict(self, polygon_k):
+        for o in range(5):
+            for o2 in range(o + 1, 5):
+                first, second = SIM5.members[o].povm, SIM5.members[o2].povm
+                verdict = joint_measurability_check(first, second, polygon_k).verdict
+                assert certified_incompatible(first, second, polygon_k) == (verdict == "incompatible"), (o, o2)
+
+    def test_certified_incompatible_agrees_on_seeded_noisy_pairs(self):
+        rng = np.random.default_rng(99)
+        verdicts = Counter()
+        for idx in range(600):
+            first, second = planar_rank_one_povm(rng), planar_rank_one_povm(rng)
+            eta = rng.uniform(0.3, 1.0)
+            polygon_k = int(rng.choice([8, 16, 32, 64]))
+            first, second = add_noise(first, eta), add_noise(second, eta)
+            verdict = joint_measurability_check(first, second, polygon_k).verdict
+            assert certified_incompatible(first, second, polygon_k) == (verdict == "incompatible"), idx
+            verdicts[verdict] += 1
+        assert verdicts == {"compatible": 438, "undecided": 17, "incompatible": 145}
 
     def test_noisy_pair_compatible(self):
         assert joint_measurability_check(add_noise(M0, 0.1), add_noise(M1, 0.1)).verdict == "compatible"
@@ -299,7 +333,7 @@ class TestJointMeasurability:
             for k, eff in enumerate(povm.effects):
                 assert coords[p, k, 0] == eff.weight
                 assert np.linalg.norm(coords[p, k, 1:]) == pytest.approx(np.linalg.norm(eff.vec), abs=1e-15)
-        gens = mc._polygon_generators(coords, 8, 1.0, True)
+        gens = mc._polygon_generators(coords, 8, circumscribed=False)
         n_gen = len(gens)
         assert n_gen == 8 + 6
         a = mc._joint_lp(gens)
@@ -398,6 +432,8 @@ class TestJointMeasurability:
         with pytest.raises(ValueError, match="polygon_k must be at least 3"):
             joint_measurability_check(M0, M1, polygon_k)
         with pytest.raises(ValueError, match="polygon_k must be at least 3"):
+            certified_incompatible(M0, M1, polygon_k)
+        with pytest.raises(ValueError, match="polygon_k must be at least 3"):
             noise_compatibility_threshold(M0, M1, polygon_k)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-4, np.nan, np.inf, 1e-17])
@@ -417,6 +453,14 @@ class TestJointMeasurability:
         )
         with pytest.raises(CoplanarityError):
             joint_measurability_check(TRINE_POVM, yz_povm)
+        with pytest.raises(CoplanarityError):
+            certified_incompatible(TRINE_POVM, yz_povm)
+
+    def test_three_outcomes_required(self):
+        four = Povm(tuple(Effect(0.25, 0.25 * xz_direction(np.pi * b / 2)) for b in range(4)))
+        for check in (joint_measurability_check, certified_incompatible, noise_compatibility_threshold):
+            with pytest.raises(ValueError, match="three-outcome"):
+                check(four, M0)
 
 
 class TestCoherenceDetection:
