@@ -8,7 +8,6 @@ from .qubit_core import (
     InvalidEffectError,
     InvalidPovmError,
     InvalidStateError,
-    PauliOperator,
     Povm,
     born_probability,
     povm_from_weighted_projectors,

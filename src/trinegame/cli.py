@@ -138,8 +138,7 @@ def cmd_bounds(args) -> int:
     for anchor, values in _ANCHORS.items():
         if abs(args.alpha0 - anchor) <= 1e-12:
             refs = values
-    tol_q = args.tol if args.tol is not None else 1e-4
-    tol_exact = args.tol if args.tol is not None else 1e-9
+    tol_q, tol_exact = 1e-4, 1e-9
     records = [
         _record(
             "p_q", p_q, refs[0] if refs else None, tol_q if refs else None,
@@ -157,8 +156,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_simulate(args) -> int:
     n = args.n
-    tol = args.tol if args.tol is not None else 1e-12
-    report = povm_simulation.verify_simulation(n, tol=tol, seed=args.seed)
+    report = povm_simulation.verify_simulation(n, seed=args.seed)
+    tol_element, tol_stat = povm_simulation.ELEMENT_TOL, povm_simulation.STATISTICAL_TOL
     sim = povm_simulation.simulator_set(n)
     target_ext = povm_simulation.is_extremal_rank_one(povm_simulation.equatorial_povm(n).povm)
     member_ext = [
@@ -168,8 +167,8 @@ def cmd_simulate(args) -> int:
         _record("h0", sim.h0, None, None, True),
         _record("h1", sim.h1, None, None, True),
         _record("coefficient_sum", sim.h0 + 2 * sim.h1, 2.0, 1e-14, abs(sim.h0 + 2 * sim.h1 - 2) <= 1e-14),
-        _record("element_residual", report.element_residual, 0.0, report.tol, report.element_residual <= report.tol),
-        _record("statistical_residual", report.statistical_residual, 0.0, 1e-10, report.statistical_residual <= 1e-10),
+        _record("element_residual", report.element_residual, 0.0, tol_element, report.element_residual <= tol_element),
+        _record("statistical_residual", report.statistical_residual, 0.0, tol_stat, report.statistical_residual <= tol_stat),
         _record("target_extremal", float(bool(target_ext)), float(n == 3), 0.0, bool(target_ext) == (n == 3)),
         _record("members_extremal", float(all(member_ext)), 1.0, 0.0, all(member_ext)),
     ]
@@ -180,7 +179,7 @@ def cmd_incompat(args) -> int:
     sim = povm_simulation.simulator_set(5)
     ensemble = mc.carmeli_ensemble()
     report = mc.guessing_report(ensemble, sim.members[0].povm, sim.members[1].povm)
-    dual_margin = report.dual_feasibility_margin(ensemble)
+    dual_margin = report.dual_feasibility_margin
 
     members = [member.povm for member in sim.members]
     incompatible_pairs = sum(
@@ -282,13 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="p_q with its certified upper bound, p_nc, p_c at one alpha0")
     common(p_bounds)
-    p_bounds.add_argument("--tol", type=float, default=None)
     p_bounds.add_argument("--alpha0", type=float, default=2.0 / 3.0)
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_sim = sub.add_parser("simulate", help="n-outcome equatorial POVM simulation report")
     common(p_sim)
-    p_sim.add_argument("--tol", type=float, default=None)
     p_sim.add_argument("n", type=int, nargs="?", default=5)
     p_sim.set_defaults(func=cmd_simulate)
 

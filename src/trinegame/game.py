@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubit_core import DensityState, InvalidStateError, Povm, born_probability
+from .qubit_core import DEFAULT_TOL, DensityState, InvalidStateError, Povm, born_probability
 
 # index permutations (x+1)%3 and (x+2)%3
 _SHIFT1 = (1, 2, 0)
@@ -59,30 +59,26 @@ def success_probability(strategy: GameStrategy) -> float:
 class ParityConcealmentReport:
     mixture_residual: float       # (1/3) sum_x rho_x0  vs  (1/3) sum_x rho_x1
     partition_residual: float     # equality of the three x+2a (mod 3) group sums
-    passed: bool
-    tol: float
+    passed: bool                  # both residuals at most DEFAULT_TOL
 
 
-def check_parity_concealment(preps, tol: float = 1e-9) -> ParityConcealmentReport:
+def check_parity_concealment(preps) -> ParityConcealmentReport:
     """Operator-level residuals of the two hiding constraints.
 
     Max-abs Pauli-coordinate differences; operator equality of these sums
-    implies the outcome-probability constraints for every POVM.
+    implies the outcome-probability constraints for every POVM.  Every
+    state has scalar part 1/2, so the sums compared have equal scalar parts
+    and only the Bloch parts v[x, a] = bloch/2, a (3, 2, 3) stack, differ.
     """
-    preps = tuple(preps)
-    ops = {(x, a): preps[2 * x + a].as_operator() for x in range(3) for a in range(2)}
-
-    mix0 = sum((ops[(x, 0)] for x in range(1, 3)), ops[(0, 0)]).scaled(1.0 / 3.0)
-    mix1 = sum((ops[(x, 1)] for x in range(1, 3)), ops[(0, 1)]).scaled(1.0 / 3.0)
-    mixture_residual = (mix0 - mix1).max_abs_coord()
+    v = 0.5 * np.stack([p.bloch for p in preps]).reshape(3, 2, 3)
+    mix = (1.0 / 3.0) * (v[0] + v[1] + v[2])
+    mixture_residual = float(np.max(np.abs(mix[0] - mix[1])))
 
     # group c holds the pairs with x + 2a = c (mod 3): (c, 0) and (c+1 mod 3, 1)
-    sums = [ops[(c, 0)] + ops[((c + 1) % 3, 1)] for c in range(3)]
-    partition_residual = max(
-        (sums[i] - sums[j]).max_abs_coord() for i in range(3) for j in range(i + 1, 3)
-    )
-    passed = mixture_residual <= tol and partition_residual <= tol
-    return ParityConcealmentReport(mixture_residual, partition_residual, passed, tol)
+    sums = v[:, 0] + v[_SHIFT1, 1]
+    partition_residual = float(np.max(np.abs(sums[:, None] - sums[None])))
+    passed = mixture_residual <= DEFAULT_TOL and partition_residual <= DEFAULT_TOL
+    return ParityConcealmentReport(mixture_residual, partition_residual, passed)
 
 
 def derived_second_blochs(u: np.ndarray) -> np.ndarray:

@@ -8,9 +8,11 @@ Four independent certificates live here:
   six-state ensemble succeeds strictly better when the partition label
   arrives before the measurement than after it, and the post-measurement
   optimum has an exact dual certificate (a minimum enclosing ball in Bloch
-  coordinates), so a positive gap is rigorous; the explicit witness POVM
-  behind the lower bound is built on the ball's contact points and meets
-  the dual optimum exactly;
+  coordinates), so a positive gap is rigorous; the nine pair operators are
+  one (9, 3) Bloch stack, as all share the identity coefficient 1/6, and
+  the certificate is one (4,) array of its scalar and Bloch parts; the
+  explicit witness POVM behind the lower bound is built on the ball's
+  contact points and meets the dual optimum exactly;
 * direct joint-measurability feasibility for coplanar POVM pairs, with the
   positivity cone replaced by inscribed (feasible => compatible) and
   circumscribed (infeasible => incompatible) polygon cones, both plain LPs,
@@ -45,8 +47,8 @@ from .qubit_core import (
     DEFAULT_TOL,
     DensityState,
     Effect,
-    PauliOperator,
     Povm,
+    bloch_norms,
     born_probability,
     xz_direction,
 )
@@ -74,9 +76,8 @@ def antidistinguishing_povm(states) -> Povm:
     blochs = np.stack([s.bloch for s in states])
     if np.linalg.norm(blochs.sum(axis=0)) > DEFAULT_TOL:
         raise ValueError("Bloch vectors must sum to zero for this construction")
-    for s in states:
-        if abs(s.purity_radius - 1.0) > DEFAULT_TOL:
-            raise ValueError("states must be pure")
+    if not all(s.is_pure() for s in states):
+        raise ValueError("states must be pure")
     effects = tuple(Effect(1.0 / 3.0, -blochs[b] / 3.0) for b in range(3))
     return Povm(effects)
 
@@ -98,14 +99,13 @@ class PartitionedEnsemble:
         if len(self.part0) != 3 or len(self.part1) != 3:
             raise ValueError("each partition holds three states")
 
-    def pair_operators(self) -> list[PauliOperator]:
-        """The nine operators (e_i + e'_j)/6 entering the post-measurement dual."""
-        out = []
-        for s0 in self.part0:
-            for s1 in self.part1:
-                op = s0.as_operator() + s1.as_operator()
-                out.append(op.scaled(1.0 / 6.0))
-        return out
+    def pair_blochs(self) -> np.ndarray:
+        """Bloch parts (9, 3) of the nine operators W_ij = (e_i + e'_j)/6 of
+        the post-measurement dual, row 3 i + j; every W_ij has identity
+        coefficient 1/6."""
+        b0 = np.stack([s.bloch for s in self.part0])
+        b1 = np.stack([s.bloch for s in self.part1])
+        return (0.5 * b0[:, None] + 0.5 * b1[None]).reshape(9, 3) * (1.0 / 6.0)
 
 
 def _state_at(angle: float) -> DensityState:
@@ -202,31 +202,30 @@ def min_enclosing_ball(points: np.ndarray) -> EnclosingBall:
 
 @dataclass(frozen=True, eq=False)
 class GuessingReport:
+    """Guessing bounds of one ensemble and one POVM pair.  The dual
+    certificate Y = y_0 I + (y_1, y_2, y_3).sigma is the (4,) array
+    (y_0, y_1, y_2, y_3); its margin, the smallest eigenvalue of Y - W_ij
+    over the nine pair operators of the report's own ensemble, is
+    nonnegative up to rounding when Y is dual feasible."""
+
     p_prior: float
     p_post_upper: float
     p_post_lower: float
-    dual_certificate: PauliOperator
+    dual_certificate: np.ndarray
+    dual_feasibility_margin: float
     witness_margin: float        # p_prior - p_post_upper; positive proves the pair incompatible
     strategy_povm: Povm
     strategy_assignment: tuple
 
-    def dual_feasibility_margin(self, ensemble: PartitionedEnsemble) -> float:
-        """Smallest eigenvalue of Y - W_ij over the nine pair operators."""
-        y = self.dual_certificate
-        worst = np.inf
-        for w in ensemble.pair_operators():
-            gap = y - w
-            worst = min(worst, gap.eigenvalues()[0])
-        return float(worst)
 
-
-def post_guess_bounds(ensemble: PartitionedEnsemble) -> tuple[float, float, PauliOperator, Povm, tuple]:
+def post_guess_bounds(ensemble: PartitionedEnsemble) -> tuple[float, float, np.ndarray, Povm, tuple]:
     """(p_post_lower, p_post_upper, dual certificate, witness POVM, assignment).
 
     Upper bound: min Tr[Y] over Y >= W_ij for all nine pair operators.
     Every W_ij has identity coefficient 1/6, so the optimal Y is 1/6 + R
     plus the center of the minimum enclosing ball of the W Bloch parts, an
-    exact dual optimum of value 2 (1/6 + R).
+    exact dual optimum of value 2 (1/6 + R); the certificate is the (4,)
+    array (1/6 + R, center) of its scalar and Bloch parts.
     Lower bound: the value of an explicit witness built on the ball's
     support.  Support point z is the Bloch part p_z of the pair operator
     W_ij, at unit direction n_z from the center and with barycentric weight
@@ -235,10 +234,10 @@ def post_guess_bounds(ensemble: PartitionedEnsemble) -> tuple[float, float, Paul
     sum_z Tr[E_z W_z] = 2 sum_z t_z (1/6 + n_z.p_z) = 2 (1/6 + R), so the
     two bounds meet (complementary slackness).
     """
-    pts = np.array([op.vec for op in ensemble.pair_operators()])
+    pts = ensemble.pair_blochs()
     ball = min_enclosing_ball(pts)
     upper = 2.0 * (1.0 / 6.0 + ball.radius)
-    certificate = PauliOperator(1.0 / 6.0 + ball.radius, ball.center)
+    certificate = np.concatenate(([1.0 / 6.0 + ball.radius], ball.center))
     # all nine points coincide when R = 0; the units are then zero and the effects t_z I
     units = (pts[list(ball.support)] - ball.center) / max(ball.radius, 1e-300)
     povm = Povm(tuple(Effect(t, t * n) for t, n in zip(ball.weights, units)))
@@ -253,11 +252,14 @@ def post_guess_bounds(ensemble: PartitionedEnsemble) -> tuple[float, float, Paul
 def guessing_report(ensemble: PartitionedEnsemble, m_first: Povm, m_second: Povm) -> GuessingReport:
     lower, upper, certificate, povm, assignment = post_guess_bounds(ensemble)
     prior = prior_guess(ensemble, m_first, m_second)
+    # the smaller eigenvalue of Y - W_ij is (y_0 - 1/6) - |y_vec - w_ij|
+    margin = float(np.min((certificate[0] - 1.0 / 6.0) - bloch_norms(certificate[1:] - ensemble.pair_blochs())))
     return GuessingReport(
         p_prior=prior,
         p_post_upper=upper,
         p_post_lower=lower,
         dual_certificate=certificate,
+        dual_feasibility_margin=margin,
         witness_margin=prior - upper,
         strategy_povm=povm,
         strategy_assignment=assignment,
@@ -290,8 +292,7 @@ def _plane_coords(m_first: Povm, m_second: Povm) -> np.ndarray:
     count, CoplanarityError without a common plane."""
     if len(m_first) != 3 or len(m_second) != 3:
         raise ValueError("expected three-outcome measurements")
-    effects = m_first.effects + m_second.effects
-    vecs = np.array([e.vec for e in effects])
+    vecs = np.concatenate([m_first.vecs, m_second.vecs])
     nonzero = vecs[np.linalg.norm(vecs, axis=1) > 1e-13]
     if len(nonzero) == 0:
         basis = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -300,7 +301,7 @@ def _plane_coords(m_first: Povm, m_second: Povm) -> np.ndarray:
         if svals.size >= 3 and svals[2] > DEFAULT_TOL * svals[0]:
             raise CoplanarityError("effect Bloch vectors are not coplanar")
         basis = vt[:2]
-    weights = np.array([e.weight for e in effects])
+    weights = np.concatenate([m_first.weights, m_second.weights])
     return np.column_stack([weights, vecs @ basis.T]).reshape(2, 3, 3)
 
 
@@ -526,12 +527,11 @@ def _coherence_report(fit: AxisFit) -> CoherenceReport:
 def is_free_povm(povm: Povm, basis_direction) -> CoherenceReport:
     """Free iff every effect Bloch vector is (anti)parallel to the basis
     axis, i.e. the POVM cannot tell any state from its dephasing."""
-    vecs = np.array([[e.vec for e in povm.effects]])
-    return _coherence_report(_axis_fit(vecs, _unit_axis(basis_direction)[None]))
+    return _coherence_report(_axis_fit(povm.vecs[None], _unit_axis(basis_direction)[None]))
 
 
 def is_free_in_any_basis(povm: Povm) -> CoherenceReport:
     """Free in some basis iff all effect Bloch vectors are collinear: the
     report for the ``best_axis_fit`` axis, whose witness state maximizes
     Tr[(rho - Lambda rho) E] over all states."""
-    return _coherence_report(best_axis_fit(np.array([[e.vec for e in povm.effects]])))
+    return _coherence_report(best_axis_fit(povm.vecs[None]))

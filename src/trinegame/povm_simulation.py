@@ -81,7 +81,6 @@ class SimulationReport:
     element_residual: float        # worst coordinate error of the mixed effects
     statistical_residual: float    # worst outcome-probability error over N_STATES states
     passed: bool
-    tol: float
 
 
 def equatorial_povm(n: int) -> EquatorialPovm:
@@ -107,14 +106,10 @@ def simulator_set(n: int) -> SimulatorSet:
         dirs = [xz_direction(equatorial_angle(n, k)) for k in labels]
         povm = povm_from_weighted_projectors((h0, h1, h1), dirs)
         members.append(SimulatorMember(o, labels, povm))
-    weights, vecs = _effect_table([e for member in members for e in member.povm.effects])
+    weights = np.concatenate([member.povm.weights for member in members])
+    vecs = np.concatenate([member.povm.vecs for member in members])
     labels = np.array([member.labels for member in members]).reshape(-1)
     return SimulatorSet(n, h0, h1, tuple(members), labels, weights, vecs)
-
-
-def _effect_table(effects) -> tuple[np.ndarray, np.ndarray]:
-    """Weights (k,) and Bloch parts (k, 3) of a sequence of effects."""
-    return np.array([e.weight for e in effects]), np.array([e.vec for e in effects])
 
 
 def _sum_by_label(sim: SimulatorSet, rows: np.ndarray) -> np.ndarray:
@@ -131,25 +126,28 @@ def mixed_effect_coords(sim: SimulatorSet) -> np.ndarray:
 
 
 N_STATES = 100  # random states drawn by ``verify_simulation``
+ELEMENT_TOL = 1e-12  # bound on ``element_residual``
+STATISTICAL_TOL = 1e-10  # bound on ``statistical_residual``
 
 
-def verify_simulation(n: int, tol: float = 1e-12, seed: int = 0) -> SimulationReport:
+def verify_simulation(n: int, seed: int = 0) -> SimulationReport:
     """Element-wise and statistical agreement of the mixture with the
     parent; the outcome probabilities w + v.b are one matrix product over
-    N_STATES ``random_state`` draws from ``default_rng(seed)``."""
+    N_STATES ``random_state`` draws from ``default_rng(seed)``.  It passes
+    when the residuals are at most ELEMENT_TOL and STATISTICAL_TOL."""
     n = _check_n(n)
     sim = simulator_set(n)
-    parent_weights, parent_vecs = _effect_table(equatorial_povm(n).povm.effects)
-    target = np.column_stack([parent_weights, parent_vecs])
+    parent = equatorial_povm(n).povm
+    target = np.column_stack([parent.weights, parent.vecs])
     element_residual = float(np.max(np.abs(mixed_effect_coords(sim) - target)))
 
     rng = np.random.default_rng(seed)
     states = np.array([random_state(rng).bloch for _ in range(N_STATES)])
-    p_parent = parent_weights + states @ parent_vecs.T
+    p_parent = parent.weights + states @ parent.vecs.T
     p_mix = _sum_by_label(sim, (sim.weights + states @ sim.vecs.T).T).T / n
     stat_residual = float(np.max(np.abs(p_parent - p_mix)))
-    passed = element_residual <= tol and stat_residual <= max(tol, 1e-10)
-    return SimulationReport(n, element_residual, stat_residual, passed, tol)
+    passed = element_residual <= ELEMENT_TOL and stat_residual <= STATISTICAL_TOL
+    return SimulationReport(n, element_residual, stat_residual, passed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,10 +166,9 @@ def is_extremal_rank_one(povm: Povm) -> ExtremalityCertificate:
     """Rank-one POVMs are extremal iff their effects are linearly independent;
     the certificate is the rank of the effect-coordinate matrix.  Rank one
     and rank are both decided at ``DEFAULT_TOL``."""
-    effects = povm.effects
-    if not all(e.is_rank_one(DEFAULT_TOL) for e in effects):
-        return ExtremalityCertificate(False, None, None, len(effects), ())
-    coords = np.stack([e.as_operator().coords for e in effects])
-    svals = np.linalg.svd(coords, compute_uv=False)
+    n = len(povm)
+    if not all(e.is_rank_one() for e in povm.effects):
+        return ExtremalityCertificate(False, None, None, n, ())
+    svals = np.linalg.svd(np.column_stack([povm.weights, povm.vecs]), compute_uv=False)
     rank = int(np.sum(svals > DEFAULT_TOL))
-    return ExtremalityCertificate(True, rank == len(effects), rank, len(effects), tuple(svals))
+    return ExtremalityCertificate(True, rank == n, rank, n, tuple(svals))

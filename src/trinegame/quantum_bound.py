@@ -95,7 +95,7 @@ def _bounds(al: np.ndarray) -> tuple[list[Fraction], Fraction]:
 def _gram_coordinates(strategy: game.GameStrategy, lift: np.ndarray) -> np.ndarray:
     """z of a strategy, one row per block: least squares of lift z = (u; y)."""
     u = np.stack([strategy.prep(x, 0).bloch for x in range(3)])
-    y = np.stack([2.0 * e.vec for e in strategy.povm.effects])
+    y = 2.0 * strategy.povm.vecs
     return np.linalg.lstsq(lift.astype(float), np.concatenate([u, y]), rcond=None)[0]
 
 

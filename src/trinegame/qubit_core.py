@@ -1,8 +1,9 @@
 """Qubit states, effects and POVMs in real Pauli coordinates.
 
-A Hermitian qubit operator O = s*I + v.sigma is stored as the real pair
-(s, v) with v a 3-vector, so traces, eigenvalues and Born probabilities
-reduce to exact vector arithmetic:
+A Hermitian qubit operator O = s*I + v.sigma is kept as plain arrays: a
+scalar s and a Bloch 3-vector v, and a stack of operators as a scalar
+array (...) next to a Bloch array (..., 3).  Traces, eigenvalues and Born
+probabilities then reduce to exact vector arithmetic:
 
     Tr O      = 2 s
     eig O     = s -+ |v|
@@ -15,9 +16,13 @@ an independent complex-matrix oracle for cross-checking.
 once, when they are built, at the single tolerance ``DEFAULT_TOL``: a
 Bloch norm at most 1, effect eigenvalues in [0, 1], and effects summing to
 the identity.  Every object that exists is therefore valid; nothing
-re-checks it later.  The POVM rule is one pair of stacked checks: effect
-bounds, which ``Effect`` runs on a one-row stack, and completeness, which
-``Povm`` runs on one; ``validate_povms`` runs both on a whole stack.
+re-checks it later.  ``is_pure`` and ``is_rank_one`` decide at the same
+tolerance.  The POVM rule is one pair of stacked checks: effect bounds,
+which ``Effect`` runs on a one-row stack, and completeness, which ``Povm``
+runs on one; ``validate_povms`` runs both on a whole stack.  A ``Povm``
+keeps the weight stack (n,) and Bloch stack (n, 3) of its effects,
+read-only, as ``weights`` and ``vecs``; callers read them instead of
+rebuilding them from ``effects``.
 
 ``zero_sum_alignment`` solves the measurement subproblem of the game: the
 best Bloch parts y_b of a three-outcome POVM, with sum_b y_b = 0 and
@@ -28,7 +33,7 @@ and no tolerance loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,43 +64,6 @@ def xz_direction(theta: float) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PauliOperator:
-    """Hermitian operator scalar*I + vec.sigma."""
-
-    scalar: float
-    vec: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "scalar", float(self.scalar))
-        object.__setattr__(self, "vec", _vec3(self.vec))
-
-    @property
-    def trace(self) -> float:
-        return 2.0 * self.scalar
-
-    @property
-    def coords(self) -> np.ndarray:
-        """Coordinates (scalar, vx, vy, vz) as a 4-vector."""
-        return np.concatenate(([self.scalar], self.vec))
-
-    def eigenvalues(self) -> tuple[float, float]:
-        r = float(np.linalg.norm(self.vec))
-        return (self.scalar - r, self.scalar + r)
-
-    def __add__(self, other: "PauliOperator") -> "PauliOperator":
-        return PauliOperator(self.scalar + other.scalar, self.vec + other.vec)
-
-    def __sub__(self, other: "PauliOperator") -> "PauliOperator":
-        return PauliOperator(self.scalar - other.scalar, self.vec - other.vec)
-
-    def scaled(self, factor: float) -> "PauliOperator":
-        return PauliOperator(factor * self.scalar, factor * self.vec)
-
-    def max_abs_coord(self) -> float:
-        return max(abs(self.scalar), float(np.max(np.abs(self.vec))))
-
-
-@dataclass(frozen=True, eq=False)
 class DensityState:
     """Qubit density operator (I + bloch.sigma)/2."""
 
@@ -112,14 +80,12 @@ class DensityState:
         """|bloch|; equals 1 for pure states."""
         return float(np.linalg.norm(self.bloch))
 
-    def is_pure(self, tol: float = 1e-12) -> bool:
-        return abs(self.purity_radius - 1.0) <= tol
-
-    def as_operator(self) -> PauliOperator:
-        return PauliOperator(0.5, 0.5 * self.bloch)
+    def is_pure(self) -> bool:
+        return abs(self.purity_radius - 1.0) <= DEFAULT_TOL
 
     def eigenvalues(self) -> tuple[float, float]:
-        return self.as_operator().eigenvalues()
+        r = 0.5 * self.purity_radius
+        return (0.5 - r, 0.5 + r)
 
 
 def bloch_norms(v) -> np.ndarray:
@@ -173,27 +139,30 @@ class Effect:
         r = float(np.linalg.norm(self.vec))
         return (self.weight - r, self.weight + r)
 
-    def is_rank_one(self, tol: float = 1e-9) -> bool:
+    def is_rank_one(self) -> bool:
         """True when the smaller eigenvalue vanishes and the effect is nonzero."""
         lo, _ = self.eigenvalues()
-        return abs(lo) <= tol and self.weight > tol
-
-    def as_operator(self) -> PauliOperator:
-        return PauliOperator(self.weight, self.vec)
+        return abs(lo) <= DEFAULT_TOL and self.weight > DEFAULT_TOL
 
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Ordered list of effects summing to the identity."""
+    """Ordered list of effects summing to the identity, with their weights
+    (n,) and Bloch parts (n, 3) kept as read-only stacks."""
 
     effects: tuple
+    weights: np.ndarray = field(init=False, repr=False)
+    vecs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "effects", tuple(self.effects))
-        w, v = np.array([[e.weight for e in self.effects]]), np.array([[e.vec for e in self.effects]])
-        failure = _completeness_failure(w, v.reshape(1, -1, 3))
+        w, v = np.array([e.weight for e in self.effects]), np.array([e.vec for e in self.effects]).reshape(-1, 3)
+        failure = _completeness_failure(w[None], v[None])
         if failure:
             raise failure[1]
+        w.flags.writeable = v.flags.writeable = False
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "vecs", v)
 
     def __len__(self) -> int:
         return len(self.effects)

@@ -15,9 +15,13 @@ that replaced it.  The one-row-at-a-time POVM sampler and the one-subset-
 at-a-time enclosing ball are the references for their batched library
 versions, which must match them bit for bit; so are the one-POVM-per-call
 collinear sampler for the stacked one in ``cli``, and the per-state
-simulation loop for the stacked member table of ``verify_simulation``.  The
-samplers and enumerations at the end generate test inputs from the
-library's own types.
+simulation loop for the stacked member table of ``verify_simulation``, and
+the operator-by-operator hiding residuals for the Bloch stack of
+``check_parity_concealment``.  The pair operators of the guessing dual,
+summed one operator at a time, and the eigenvalue loop over them are the
+references for the stacked Bloch parts and the margin of
+``guessing_report``.  The samplers and enumerations at the end generate
+test inputs from the library's own types.
 """
 
 from fractions import Fraction
@@ -241,6 +245,48 @@ def weighted_median_value(c, r) -> float:
     return min([float(found.fun)] + [dual(target)[0] for target in c])
 
 
+def pair_operators_by_sums(ensemble) -> list[tuple[float, np.ndarray]]:
+    """The nine operators W_ij = (e_i + e'_j)/6 of the post-measurement dual
+    as (scalar, Bloch) pairs in the order 3 i + j: the state operators
+    (1/2, bloch/2) added one pair at a time, then scaled by 1/6."""
+    out = []
+    for s0 in ensemble.part0:
+        for s1 in ensemble.part1:
+            scalar, vec = 0.5 + 0.5, 0.5 * s0.bloch + 0.5 * s1.bloch
+            out.append(((1.0 / 6.0) * scalar, (1.0 / 6.0) * vec))
+    return out
+
+
+def parity_residuals_by_operators(preps) -> tuple[float, float]:
+    """(mixture, partition) residuals of the hiding constraints, one state
+    operator (1/2, bloch/2) at a time: the largest |coordinate| of the
+    difference of the x-mixtures of a = 0 and a = 1, and of every two
+    group sums (c, 0) + (c + 1 mod 3, 1), scalar parts included."""
+    ops = {(x, a): (0.5, 0.5 * preps[2 * x + a].bloch) for x in range(3) for a in range(2)}
+
+    def add(p, q):
+        return p[0] + q[0], p[1] + q[1]
+
+    def max_abs_diff(p, q):
+        return max(abs(p[0] - q[0]), float(np.max(np.abs(p[1] - q[1]))))
+
+    mix = [add(add(ops[(0, a)], ops[(1, a)]), ops[(2, a)]) for a in range(2)]
+    mix = [((1.0 / 3.0) * scalar, (1.0 / 3.0) * vec) for scalar, vec in mix]
+    sums = [add(ops[(c, 0)], ops[((c + 1) % 3, 1)]) for c in range(3)]
+    partition = max(max_abs_diff(sums[i], sums[j]) for i, j in combinations(range(3), 2))
+    return max_abs_diff(*mix), partition
+
+
+def dual_margin_by_eigenvalues(certificate, operators) -> float:
+    """Smallest eigenvalue of Y - W over the (scalar, Bloch) operators W,
+    one difference at a time: (y_0 - w_0) - |y_vec - w_vec|, with Y the
+    (4,) certificate (y_0, y_vec)."""
+    worst = np.inf
+    for scalar, vec in operators:
+        worst = min(worst, (certificate[0] - scalar) - float(np.linalg.norm(certificate[1:] - vec)))
+    return float(worst)
+
+
 def noise_threshold_by_bisection(m_first, m_second, polygon_k: int = 64, tol: float = 1e-4):
     """Bisection bracket on the 2^-d grid: one inscribed-cone feasibility
     check at eta = 1, then one per halving until the bracket is at most tol.
@@ -281,8 +327,8 @@ def simulation_residuals_by_loop(n: int, seed: int) -> tuple[float, float]:
     coords = np.zeros((n, 4))
     for member in sim.members:
         for label, effect in zip(member.labels, member.povm.effects):
-            coords[label] += effect.as_operator().coords / n
-    target = np.stack([e.as_operator().coords for e in parent.povm.effects])
+            coords[label] += np.concatenate(([effect.weight], effect.vec)) / n
+    target = np.stack([np.concatenate(([e.weight], e.vec)) for e in parent.povm.effects])
     element = float(np.max(np.abs(coords - target)))
 
     rng = np.random.default_rng(seed)

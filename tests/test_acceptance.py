@@ -127,7 +127,7 @@ def test_criterion_06_qubit_advantage(quantum_values, classical_optimum):
 def test_criterion_07_simulation_identity():
     residuals = {}
     for n in (3, 5, 7, 9):
-        residuals[n] = povm_simulation.verify_simulation(n, tol=1e-12).element_residual
+        residuals[n] = povm_simulation.verify_simulation(n).element_residual
     ok_res = all(r < 1e-12 for r in residuals.values())
     h0, h1 = povm_simulation.simulation_coefficients(5)
     ok_h = abs(h0 - 0.894427) <= 1e-6 and abs(h1 - 0.552786) <= 1e-6
@@ -159,7 +159,7 @@ def test_criterion_09_incompatibility():
     report = mc.guessing_report(ensemble, sim.members[0].povm, sim.members[1].povm)
     ok_prior = abs(report.p_prior - 2 / 3) <= 1e-12
     ok_upper = report.p_post_upper < 0.64
-    ok_dual = report.dual_feasibility_margin(ensemble) >= -1e-10
+    ok_dual = report.dual_feasibility_margin >= -1e-10
     ok_margin = report.witness_margin > 0.02
     flagged = sum(
         mc.joint_measurability_check(sim.members[o].povm, sim.members[o2].povm, 64).verdict

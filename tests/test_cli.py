@@ -139,12 +139,6 @@ class TestSimulate:
         assert values["target_extremal"] == 0.0
         assert values["members_extremal"] == 1.0
 
-    def test_zero_tolerance_is_kept(self, tmp_path):
-        code, data = run(["simulate", "5", "--tol", "0"], tmp_path, "sim.json")
-        records = {r["quantity"]: r for r in json.loads(data)["results"]}
-        assert records["element_residual"]["tolerance"] == 0.0
-        assert code == (0 if records["element_residual"]["value"] == 0.0 else 1)
-
 
 class TestIncompat:
     def test_full_report_passes(self, tmp_path):
@@ -234,7 +228,8 @@ class TestCoherence:
     [
         *([command, "--format", "json"] for command in ("curve", "bounds", "simulate", "incompat", "coherence")),
         *([command, "--restarts", "5"] for command in ("curve", "bounds", "simulate", "incompat", "coherence")),
-        *([command, "--tol", "1e-9"] for command in ("curve", "incompat", "coherence")),
+        *([command, "--tol", "1e-9"] for command in ("curve", "bounds", "incompat", "coherence")),
+        ["simulate", "--tol", "0"],
     ],
 )
 def test_removed_flags_are_usage_errors(argv):

@@ -18,6 +18,7 @@ from trinegame.qubit_core import (
     DensityState,
     Effect,
     Povm,
+    random_state,
     xz_direction,
 )
 from trinegame.quantum_opt import QUANTUM_OPTIMUM, analytic_optimal_strategy
@@ -80,6 +81,18 @@ class TestParityConcealment:
         mix1 = sum(oracles.state_matrix(preps[2 * x + 1]) for x in range(3)) / 3
         assert np.max(np.abs(mix0 - mix1)) > 1e-2
         assert report.mixture_residual > 1e-2
+
+    def test_residuals_match_the_operator_sums_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        u = oracles.random_feasible_first_blochs(rng, 50)
+        for k in range(100):
+            if k < 50:
+                preps = complete_preparations([DensityState(u[k, x]) for x in range(3)])
+            else:
+                preps = [random_state(rng) for _ in range(6)]
+            report = check_parity_concealment(preps)
+            expected = oracles.parity_residuals_by_operators(preps)
+            assert (report.mixture_residual, report.partition_residual) == expected, k
 
 
 class TestCompletePreparations:

@@ -1,6 +1,7 @@
 """Incompatibility witnesses, joint measurability, coherence detection."""
 
 from collections import Counter
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -132,7 +133,7 @@ class TestEnsembles:
         assert np.allclose(ens.part0[1].bloch, (s, 0, -c), atol=1e-14)
         # the third first-partition state coincides with the second of part1
         assert np.allclose(ens.part0[2].bloch, ens.part1[1].bloch, atol=1e-14)
-        assert all(st.is_pure(1e-12) for st in ens.part0 + ens.part1)
+        assert all(abs(st.purity_radius - 1) <= 1e-12 for st in ens.part0 + ens.part1)
 
     def test_pair_ensemble_reduces_to_printed_one(self):
         # in floats t + 2t == 3t and t + 3t == 4t for t = 2 pi / 5, so the
@@ -171,9 +172,9 @@ class TestMinEnclosingBall:
             assert radius >= r_oracle - 1e-3
 
     def test_matches_subset_oracle_bit_for_bit(self):
-        sets = [np.array([op.vec for op in carmeli_ensemble().pair_operators()])]
+        sets = [carmeli_ensemble().pair_blochs()]
         sets += [
-            np.array([op.vec for op in ensemble_for_simulator_pair(i, j).pair_operators()])
+            ensemble_for_simulator_pair(i, j).pair_blochs()
             for i in range(5)
             for j in range(5)
             if i != j
@@ -204,12 +205,25 @@ class TestPostGuessBounds:
     def test_dual_certificate_feasible_by_eigenvalues(self):
         ens = carmeli_ensemble()
         report = guessing_report(ens, M0, M1)
-        assert report.dual_feasibility_margin(ens) >= -1e-10
+        assert report.dual_feasibility_margin >= -1e-10
         # cross-check with the complex-matrix oracle
-        y = oracles.operator_matrix(report.dual_certificate.scalar, report.dual_certificate.vec)
-        for w_op in ens.pair_operators():
-            gap = y - oracles.operator_matrix(w_op.scalar, w_op.vec)
+        y = oracles.operator_matrix(report.dual_certificate[0], report.dual_certificate[1:])
+        for w in ens.pair_blochs():
+            gap = y - oracles.operator_matrix(1 / 6, w)
             assert np.linalg.eigvalsh(gap).min() >= -1e-10
+
+    def test_pair_blochs_certificate_and_margin_match_the_operator_sums_bit_for_bit(self):
+        for o, o2 in permutations(range(5), 2):
+            ens = ensemble_for_simulator_pair(o, o2)
+            operators = oracles.pair_operators_by_sums(ens)
+            assert all(scalar == 1 / 6 for scalar, _ in operators)
+            assert np.array_equal(ens.pair_blochs(), [vec for _, vec in operators])
+            report = guessing_report(ens, SIM5.members[o].povm, SIM5.members[o2].povm)
+            ball = oracles.min_enclosing_ball_by_subsets(np.array([vec for _, vec in operators]))
+            assert np.array_equal(report.dual_certificate, [1 / 6 + ball.radius, *ball.center])
+            expected = oracles.dual_margin_by_eigenvalues(report.dual_certificate, operators)
+            assert report.dual_feasibility_margin == expected, (o, o2)
+            assert type(report.dual_feasibility_margin) is float
 
     def test_witness_meets_the_dual_on_all_ensembles(self):
         ensembles = [carmeli_ensemble()] + [

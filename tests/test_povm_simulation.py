@@ -46,12 +46,9 @@ class TestSimulatorSet:
         sim = simulator_set(3)
         assert sim.h0 == pytest.approx(2 / 3, abs=1e-15)
         assert sim.h1 == pytest.approx(2 / 3, abs=1e-15)
-        trine_coords = {
-            tuple(np.round(e.as_operator().coords, 12))
-            for e in equatorial_povm(3).povm.effects
-        }
+        trine_coords = {tuple(np.round([e.weight, *e.vec], 12)) for e in equatorial_povm(3).povm.effects}
         for member in sim.members:
-            coords = {tuple(np.round(e.as_operator().coords, 12)) for e in member.povm.effects}
+            coords = {tuple(np.round([e.weight, *e.vec], 12)) for e in member.povm.effects}
             assert coords == trine_coords
 
     def test_n5_coefficients(self):
@@ -73,7 +70,7 @@ class TestSimulatorSet:
 class TestSimulationIdentity:
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
     def test_mixture_reproduces_parent(self, n):
-        report = verify_simulation(n, tol=1e-12, seed=1)
+        report = verify_simulation(n, seed=1)
         assert report.passed
         assert report.element_residual < 1e-12
         assert report.statistical_residual < 1e-12
@@ -91,6 +88,19 @@ class TestSimulationIdentity:
         assert sim.labels.tolist() == [label for member in sim.members for label in member.labels]
         assert sim.weights.tolist() == [e.weight for e in effects]
         assert np.array_equal(sim.vecs, [e.vec for e in effects])
+
+    def test_povm_stacks_are_read_only_and_feed_the_member_table(self):
+        for n in (3, 5, 7, 11):
+            sim = simulator_set(n)
+            for povm in [equatorial_povm(n).povm] + [member.povm for member in sim.members]:
+                assert povm.weights.tolist() == [e.weight for e in povm.effects]
+                assert np.array_equal(povm.vecs, [e.vec for e in povm.effects])
+                assert povm.vecs.shape == (len(povm), 3)
+                for stack in (povm.weights, povm.vecs):
+                    with pytest.raises(ValueError, match="read-only"):
+                        stack[0] = 0.0
+            assert np.array_equal(sim.weights, np.concatenate([m.povm.weights for m in sim.members]))
+            assert np.array_equal(sim.vecs, np.concatenate([m.povm.vecs for m in sim.members]))
 
     def test_mixture_matches_complex_matrix_oracle(self):
         sim = simulator_set(5)

@@ -87,7 +87,7 @@ class TestOptimizer:
         for alpha in ((2 / 3, 2 / 3, 2 / 3), (0.8, 0.6, 0.6), (0.3, 0.9, 0.8)):
             res = optimize_quantum(alpha, restarts=12, seed=1)
             assert oracles.is_povm(res.strategy.povm.effects, tol=1e-8)
-            report = check_parity_concealment(res.strategy.preps, tol=1e-8)
+            report = check_parity_concealment(res.strategy.preps)
             assert report.passed
 
     def test_never_exceeds_lemma_ceiling(self):

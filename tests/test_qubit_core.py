@@ -12,7 +12,6 @@ from trinegame.qubit_core import (
     InvalidEffectError,
     InvalidPovmError,
     InvalidStateError,
-    PauliOperator,
     Povm,
     bloch_norms,
     born_probability,
@@ -31,20 +30,22 @@ import oracles
 TRINE_DIRS = [xz_direction(2 * np.pi * b / 3) for b in range(3)]
 
 
-class TestPauliOperator:
+class TestEigenvalues:
     def test_eigenvalues_match_complex_oracle_on_1000_random(self):
         rng = np.random.default_rng(42)
         for _ in range(1000):
-            scalar = rng.normal()
-            vec = rng.normal(size=3)
-            mine = PauliOperator(scalar, vec).eigenvalues()
-            ref = oracles.eigenvalues(scalar, vec)
-            assert np.allclose(sorted(mine), ref, atol=1e-10)
+            weight = rng.uniform()
+            direction = rng.normal(size=3)
+            vec = direction / np.linalg.norm(direction) * rng.uniform() * min(weight, 1 - weight)
+            effect = Effect(weight, vec)
+            assert np.allclose(effect.eigenvalues(), oracles.eigenvalues(weight, vec), atol=1e-10)
+            state = random_state(rng)
+            ref = oracles.eigenvalues(0.5, 0.5 * state.bloch)
+            assert np.allclose(state.eigenvalues(), ref, atol=1e-10)
 
-    def test_trace_is_twice_scalar(self):
-        op = PauliOperator(0.37, (0.1, -0.2, 0.5))
-        assert op.trace == pytest.approx(2 * 0.37, abs=0)
-        assert op.trace == pytest.approx(np.real(np.trace(oracles.operator_matrix(0.37, (0.1, -0.2, 0.5)))))
+    def test_trace_is_twice_the_weight(self):
+        effect = Effect(0.37, (0.1, -0.2, 0.25))
+        assert np.real(np.trace(oracles.effect_matrix(effect))) == pytest.approx(2 * effect.weight)
 
 
 class TestStateFromBloch:
@@ -60,7 +61,8 @@ class TestStateFromBloch:
     def test_trine_x1_is_pure(self):
         # Bloch angle 2 pi / 3: (sqrt(3)/2, 0, -1/2)
         state = DensityState((np.sqrt(3) / 2, 0, -0.5))
-        assert state.is_pure(1e-12)
+        assert state.is_pure()
+        assert abs(state.purity_radius - 1) <= 1e-12
         assert np.allclose(state.bloch, TRINE_DIRS[1], atol=1e-15)
 
     def test_rejects_outside_ball(self):
@@ -72,6 +74,13 @@ class TestStateFromBloch:
         assert DensityState((0, 0, 1 + 5e-10)).purity_radius == 1 + 5e-10
         with pytest.raises(InvalidStateError):
             DensityState((0, 0, 1 + 2e-9))
+
+    def test_purity_and_rank_one_decide_at_the_default_tolerance(self):
+        assert DensityState((0, 0, 1 - 0.5 * DEFAULT_TOL)).is_pure()
+        assert not DensityState((0, 0, 1 - 2 * DEFAULT_TOL)).is_pure()
+        assert Effect(0.25, (0, 0, 0.25 - 0.5 * DEFAULT_TOL)).is_rank_one()
+        assert not Effect(0.25, (0, 0, 0.25 - 2 * DEFAULT_TOL)).is_rank_one()
+        assert not Effect(0.5 * DEFAULT_TOL, (0, 0, 0.5 * DEFAULT_TOL)).is_rank_one()
 
     def test_rejects_nan_bloch(self):
         with pytest.raises(InvalidStateError):
